@@ -58,17 +58,11 @@ SymRef Assembler::createSymbol(std::string_view Name, Linkage L, bool IsFunc) {
   return SymRef{Idx};
 }
 
-void Assembler::rewindForRecompile(u32 SymbolWatermark) {
-  assert(SymbolWatermark <= Syms.size() && "watermark past symbol table");
-  for (u32 I = SymbolWatermark; I < Syms.size(); ++I)
-    if (Syms[I].NameId != ~0u)
-      SymOfName[Syms[I].NameId] = ~0u;
-  Syms.resize(SymbolWatermark);
-  for (Symbol &S : Syms) {
-    S.Defined = false;
-    S.Off = 0;
-    S.Size = 0;
-  }
+void Assembler::rewind() {
+  for (const Symbol &S : Syms)
+    if (S.NameId != ~0u)
+      SymOfName[S.NameId] = ~0u;
+  Syms.clear();
   clearEmission();
 }
 

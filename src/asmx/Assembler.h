@@ -190,7 +190,7 @@ public:
 struct Symbol {
   std::string_view Name;
   /// Interned-name id (StringPool::InvalidId for anonymous symbols); lets
-  /// rewindForRecompile() drop the name->symbol mapping without hashing.
+  /// rewind() drop the name->symbol mapping without hashing.
   u32 NameId = ~0u;
   Linkage Link = Linkage::External;
   bool Defined = false;
@@ -302,30 +302,16 @@ public:
     clearEmission();
     Syms.clear();
     std::fill(SymOfName.begin(), SymOfName.end(), ~0u);
-    ++Epoch;
   }
 
-  /// Counts the reset() calls so far. Module compilers use it to detect
-  /// that the symbol table they registered is still intact and can be
-  /// reused on a recompile (module-level symbol batching): the fast path
-  /// is valid only while the epoch recorded at registration time matches.
-  u64 resetEpoch() const { return Epoch; }
-
-  /// Like reset(), but keeps the first \p SymbolWatermark symbols as
-  /// *declarations*: names, linkage, and function-ness survive while
-  /// definitions, sections, relocations, and labels are dropped. Symbols
-  /// past the watermark (e.g. anonymous constant-pool entries created
-  /// during function compilation) are removed entirely. Does not bump
-  /// resetEpoch(), so a recompile loop stays on the fast path.
-  ///
-  /// Unlike reset(), the cost is proportional to the *current* symbol
+  /// Like reset(), but the cost is proportional to the *current* symbol
   /// table, never to the interned-name pool: only the name slots of the
   /// dropped symbols are unmapped (reset() refills the whole id->symbol
-  /// map). rewindForRecompile(0) is therefore the sparse-mode per-shard
-  /// rewind — a worker whose previous shard materialized S symbols pays
-  /// O(S) to start the next shard, regardless of how many names its pool
-  /// has accumulated across the module.
-  void rewindForRecompile(u32 SymbolWatermark);
+  /// map). This is the per-compile rewind of the range and globals entry
+  /// points (CompilerBase) — a worker whose previous shard materialized
+  /// S symbols pays O(S) to start the next shard, regardless of how many
+  /// names its pool has accumulated across the module.
+  void rewind();
 
   /// Appends \p Src's sections, symbols, and relocations to this module.
   ///
@@ -370,9 +356,8 @@ public:
   // section bytes), place all fragments' text/data bytes concurrently,
   // and keep only the O(symbols + relocs) stitch on the serial path —
   // the zero-merge emission scheme of docs/PERF.md ("Two-pass
-  // emission"). The copy-merge above remains as the one-fragment and
-  // fallback path and shares these primitives, so the two paths cannot
-  // drift.
+  // emission"). The one-fragment merge above (shard snapshots, the
+  // globals fragment) shares these primitives, so the two cannot drift.
 
   /// Pass 1: extends this module's text, data, and BSS exactly as
   /// mergeFrom(\p Src) would — alignment padding zero-filled, the
@@ -405,11 +390,11 @@ public:
   void stitchFrom(const Assembler &Src, const MergePlan &Plan);
 
 private:
-  /// Shared tail of reset() and rewindForRecompile(): drops everything
-  /// that belongs to one compile's emitted output (sections, relocations,
-  /// labels, fixups, error state) while keeping capacity. Any new pooled
-  /// emission container must be cleared HERE so the symbol-batched
-  /// rewind path cannot drift from the full reset.
+  /// Shared tail of reset() and rewind(): drops everything that belongs
+  /// to one compile's emitted output (sections, relocations, labels,
+  /// fixups, error state) while keeping capacity. Any new pooled emission
+  /// container must be cleared HERE so the rewind cannot drift from the
+  /// full reset.
   void clearEmission() {
     for (Section &S : Secs)
       S.reset();
@@ -474,7 +459,6 @@ private:
   std::vector<u32> MergeRoOrder;
   std::vector<u32> MergeRoSym;
   support::DenseMap<u64, u32> RoDedupSyms;
-  u64 Epoch = 0;
 };
 
 } // namespace tpde::asmx

@@ -112,13 +112,13 @@ std::vector<u8> tpde::asmx::writeElfObject(const Assembler &A,
   //
   // The emitted order is *canonical*: a pure function of the symbols'
   // content, independent of the assembler's insertion order. A serial
-  // whole-module compile registers symbols in module order while the
-  // parallel driver's merge materializes them in shard/first-reference
-  // order — canonicalizing here makes the two paths' objects
-  // byte-identical (the determinism contract of core/ParallelCompiler.h).
-  // Undefined symbols no relocation references are skipped entirely:
-  // they carry no linker-visible information, and the sparse
-  // (on-demand) compile paths never create them in the first place.
+  // compile materializes symbols in first-use order over the whole
+  // module while the parallel driver's merge sees them in shard order —
+  // canonicalizing here makes the two paths' objects byte-identical (the
+  // determinism contract of core/ParallelCompiler.h). Undefined symbols
+  // no relocation references are skipped entirely: they carry no
+  // linker-visible information (the compilers, which materialize symbols
+  // on demand, never create them; hand-built assemblers may).
   StrTab Str;
   std::vector<Elf64Sym> ElfSyms;
   ElfSyms.push_back(Elf64Sym{});

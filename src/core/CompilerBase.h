@@ -24,7 +24,9 @@
 ///   beginFunc(sym) / finishFunc(sym)       prologue placeholder + patching
 ///   setupArguments()                       argument assignment init
 ///   compileInst(val) -> bool               one IR instruction
-///   defineGlobals()                        module-level data emission
+///   beginModule(emitData)                  per-compile module state (FP
+///                                          pool, global-symbol cache) and,
+///                                          if emitData, global data
 ///   forEachStackVar(cb(size, align))       static stack variables
 ///
 //===----------------------------------------------------------------------===//
@@ -421,13 +423,11 @@ public:
   Adapter &adapter() { return A; }
   asmx::Assembler &assembler() { return Asm; }
 
-  /// Symbol of function \p FuncIdx, materialized on demand: the dense
-  /// compile paths (compileModule/recompileModule) register every
-  /// function up front and this is a plain cached read, while the sparse
-  /// range path (compileFunctionRange) creates the symbol at first use —
-  /// a shard compile touching K call targets pays O(K), not O(module).
-  /// The cache is epoch-guarded (asmx::EpochSymCache), so invalidating
-  /// it between shard compiles is O(1).
+  /// Symbol of function \p FuncIdx, materialized on demand: created at
+  /// first use (definition or call site), a plain cached read afterwards
+  /// — a compile touching K call targets pays O(K), not O(module). The
+  /// cache is epoch-guarded (asmx::EpochSymCache), so invalidating it
+  /// between compiles is O(1).
   asmx::SymRef funcSym(u32 FuncIdx) {
     return FuncSyms.sym(FuncIdx, SymEpoch, [&] {
       auto F = A.funcRef(FuncIdx);
@@ -437,9 +437,9 @@ public:
   }
 
   /// Epoch of the current module compile's symbol materialization caches
-  /// (funcSym and the derived compiler's global-symbol table). Bumped
-  /// whenever the assembler's symbol table restarts; a cache slot stamped
-  /// with an older epoch holds a stale SymRef and must be re-created.
+  /// (funcSym and the derived compiler's global-symbol table). Bumped per
+  /// module compile; a cache slot stamped with an older epoch holds a
+  /// stale SymRef and must be re-created.
   u64 moduleSymEpoch() const { return SymEpoch; }
 
   /// Frame offset of stack variable index \p I.
@@ -559,45 +559,30 @@ public:
 
   /// Compiles all functions of the adapter's module. Returns false if any
   /// instruction could not be compiled. The assembler must be fresh (or
-  /// reset()); use recompileModule() to recompile with symbol reuse.
+  /// reset()): a second compile into the same assembler redefines every
+  /// symbol and fails with duplicate strong definitions.
   bool compileModule() {
-    return compileModuleImpl</*EmitData=*/true>(0, A.funcCount(),
-                                               /*ManageAsm=*/false);
-  }
-
-  /// Recompiles the module into the same assembler, reusing the interned
-  /// symbol table built by the previous compile (module-level symbol
-  /// batching): sections and relocations are rewound, but the per-module
-  /// createSymbol pass is skipped entirely. Falls back to a full reset +
-  /// compile when the assembler was reset (or never saw this module).
-  bool recompileModule() {
-    return compileModuleImpl</*EmitData=*/true>(0, A.funcCount(),
-                                               /*ManageAsm=*/true);
+    return compileModuleImpl(0, A.funcCount(), /*EmitData=*/true,
+                             /*Rewind=*/false);
   }
 
   /// Shard entry point for the parallel module driver: compiles and
-  /// defines only the functions in [Begin, End). Runs in *sparse* symbol
-  /// mode — no module-level registration pass at all: the shard's own
-  /// function symbols, its call targets, and any referenced globals are
-  /// materialized at first use (funcSym() / the derived compiler's
-  /// global-symbol accessor), so the assembler's table — and with it the
-  /// fragment snapshot and merge cost — is O(defined + referenced) for
-  /// the shard, never O(module). Cross-shard references still relocate by
-  /// name: Assembler::mergeFrom() binds the on-demand declarations to the
-  /// defining shard's symbols. Global *data* is not emitted — the driver
-  /// merges it from a compileGlobalsOnly() fragment. Manages the
-  /// assembler itself (sparse rewind; cost proportional to the previous
-  /// shard's table).
+  /// defines only the functions in [Begin, End). Global *data* is not
+  /// emitted — the driver merges it from a compileGlobalsOnly() fragment.
+  /// Cross-shard references relocate by name: Assembler::mergeFrom()
+  /// binds the shard's on-demand declarations to the defining shard's
+  /// symbols. Rewinds the assembler itself (cost proportional to the
+  /// previous compile's table).
   bool compileFunctionRange(u32 Begin, u32 End) {
-    return compileModuleImpl</*EmitData=*/false>(Begin, End,
-                                                /*ManageAsm=*/true);
+    return compileModuleImpl(Begin, End, /*EmitData=*/false,
+                             /*Rewind=*/true);
   }
 
-  /// Emits the module-level fragment only: global data/BSS definitions
-  /// plus declarations of every function. Counterpart of
-  /// compileFunctionRange() for the parallel driver.
+  /// Emits the module-level fragment only: the data of the module's
+  /// defined globals. Counterpart of compileFunctionRange() for the
+  /// parallel driver; rewinds the assembler like it.
   bool compileGlobalsOnly() {
-    return compileModuleImpl</*EmitData=*/true>(0, 0, /*ManageAsm=*/true);
+    return compileModuleImpl(0, 0, /*EmitData=*/true, /*Rewind=*/true);
   }
 
   /// Structured diagnostic of the last failed compile (Ok after success).
@@ -606,24 +591,17 @@ public:
   /// across compiles, keeping the clean-compile path allocation-free.
   const support::CompileStatus &status() const { return Status; }
 
-  /// EmitData selects between the two module symbol strategies:
-  ///
-  ///  * EmitData=true (compileModule/recompileModule/compileGlobalsOnly):
-  ///    the *dense* mode — global data is emitted and every module symbol
-  ///    is registered up front (once per module compile; the symbol-
-  ///    batching cache can skip even that on a recompile).
-  ///  * EmitData=false (compileFunctionRange): the *sparse* mode — no
-  ///    module-level registration pass. Symbols are materialized on
-  ///    demand (funcSym(), the derived compiler's global accessor), so a
-  ///    shard compile costs O(defined + referenced) symbol records. This
-  ///    mode requires the derived compiler to provide declareGlobals()
-  ///    (prepare the on-demand global-symbol cache, register nothing) — a
-  ///    hard compile error at the call site, not a runtime assert — while
-  ///    plain compileModule() keeps working for back-ends that have not
-  ///    opted into parallel range compilation yet (both TIR targets have;
-  ///    see TirCompilerX64/TirCompilerA64).
-  template <bool EmitData>
-  bool compileModuleImpl(u32 Begin, u32 End, bool ManageAsm) {
+  /// The one module compile path behind every entry point. Symbols are
+  /// materialized on demand — no module-level registration pass: the
+  /// compiled functions' own symbols, their call targets (funcSym()), and
+  /// referenced globals (the derived compiler's global accessor) are
+  /// created at first use, so the symbol table holds O(defined +
+  /// referenced) records, never O(module). The ELF writer orders symbols
+  /// canonically, so the serial compile (one range, global data emitted
+  /// first) and the parallel driver's merge produce the same object.
+  /// \p EmitData is set when this compile owns the module's global data
+  /// (serial and globals-only compiles).
+  bool compileModuleImpl(u32 Begin, u32 End, bool EmitData, bool Rewind) {
     Status.clear();
     // Optional adapter capacity hints: size the per-function scratch for
     // the module's largest function up front so the compile loop never
@@ -634,70 +612,16 @@ public:
       An.reserve(A.maxValueCount(), A.maxBlockCount());
     }
     u32 N = A.funcCount();
-    if constexpr (!EmitData) {
-      // Sparse shard compile. The rewind drops the previous shard's
-      // (sparse) symbol table at a cost proportional to that table — a
-      // full reset() would refill the whole interned-name map, which for
-      // a worker that has visited many shards is O(module) again. The
-      // on-demand caches are invalidated by one epoch bump, and the
-      // dense-mode cache is disarmed: the table no longer holds any
-      // watermark-prefixed module registration.
-      assert(ManageAsm && "range compiles always manage the assembler");
-      Asm.rewindForRecompile(0);
-      SymCacheValid = false;
-      ++SymEpoch;
-      sizeSymCaches(N);
-      derived()->declareGlobals();
-    } else {
-      // Globals participate in the cache key where the derived compiler
-      // exposes a count: adding/removing a module global between
-      // recompiles must force the fallback, or reuse would index a stale
-      // GlobalSyms table. (Renaming symbols while keeping counts is not
-      // detected — the reuse contract is "same module", this guard just
-      // downgrades the common mutation from UB to a clean rebuild.)
-      u32 Globals = 0;
-      if constexpr (requires { derived()->moduleGlobalCount(); })
-        Globals = derived()->moduleGlobalCount();
-      bool Reuse = false;
-      if (ManageAsm) {
-        // Module-level symbol batching: if the assembler still carries
-        // the symbol table this compiler registered (same reset epoch,
-        // same function and global counts), rewind to it instead of
-        // rebuilding.
-        if (SymCacheValid && SymCacheEpoch == Asm.resetEpoch() &&
-            SymCacheFuncCount == N && SymCacheGlobalCount == Globals &&
-            SymCacheWatermark <= Asm.symbolCount()) {
-          Asm.rewindForRecompile(SymCacheWatermark);
-          Reuse = true;
-        } else {
-          Asm.reset();
-          SymCacheValid = false;
-        }
-      }
-      if (!Reuse) {
-        // The table restarts: every cached SymRef (funcSym, the derived
-        // global table) is stale. On the reuse path the epoch is kept —
-        // the rewound table preserves the registered prefix, so the
-        // caches stay valid and the per-module createSymbol pass is
-        // skipped entirely.
-        ++SymEpoch;
-        sizeSymCaches(N);
-      }
-      derived()->defineGlobals();
-      if (!Reuse) {
-        // Dense registration pass: every slot is stale after the epoch
-        // bump above, so funcSym() materializes each in module order.
-        for (u32 I = 0; I < N; ++I)
-          funcSym(I);
-        SymCacheValid = true;
-        SymCacheEpoch = Asm.resetEpoch();
-        SymCacheWatermark = Asm.symbolCount();
-        SymCacheFuncCount = N;
-        SymCacheGlobalCount = Globals;
-      }
-      assert(Asm.symbolCount() == SymCacheWatermark &&
-             "module symbol setup must be identical on the reuse path");
-    }
+    // A full reset() would refill the whole interned-name map, which for
+    // a worker that has visited many shards is O(module) again; the
+    // rewind costs only the previous compile's table.
+    if (Rewind)
+      Asm.rewind();
+    // Every cached SymRef (funcSym, the derived global table) may point
+    // into the previous compile's table: one epoch bump invalidates them.
+    ++SymEpoch;
+    FuncSyms.resize(N);
+    derived()->beginModule(EmitData);
     if (End > N)
       End = N;
     for (u32 I = Begin; I < End; ++I) {
@@ -1187,25 +1111,10 @@ protected:
   u32 CurBlock = 0;
   /// Current function epoch for lazy Assigns invalidation (never 0).
   u32 CurEpoch = 0;
-  // Module-level symbol batching cache (recompileModule): the assembler
-  // symbol prefix [0, Watermark) holds exactly this module's globals +
-  // function symbols, registered while the assembler was at reset epoch
-  // SymCacheEpoch. Sparse range compiles disarm it — their tables carry
-  // no module prefix.
-  bool SymCacheValid = false;
-  u64 SymCacheEpoch = 0;
-  u32 SymCacheWatermark = 0;
-  u32 SymCacheFuncCount = 0;
-  u32 SymCacheGlobalCount = 0;
-  /// Epoch of the funcSym()/global-symbol caches; bumped whenever the
-  /// assembler's symbol table restarts (per shard compile in sparse
-  /// mode), which invalidates every slot in O(1). Starts at 0 with all
+  /// Epoch of the funcSym()/global-symbol caches; bumped per module
+  /// compile, which invalidates every slot in O(1). Starts at 0 with all
   /// slots stamped 0 — the first compile bumps before any lookup.
   u64 SymEpoch = 0;
-
-  /// Sizes the epoch-guarded symbol caches; steady-state no-op once the
-  /// module's function count is stable (docs/PERF.md).
-  void sizeSymCaches(u32 N) { FuncSyms.resize(N); }
 };
 
 } // namespace tpde::core

@@ -30,11 +30,9 @@
 ///   };
 ///
 /// compileRange()/compileGlobals() are thin wrappers over the
-/// CompilerBase range entry points, which in turn require the derived
-/// compiler to implement the declareGlobals() hook (see
-/// core/CompilerBase.h); Assembler::mergeFrom() supplies the cross-shard
-/// symbol resolution. Nothing in this file knows about the target or the
-/// IR.
+/// CompilerBase range entry points (core/CompilerBase.h);
+/// Assembler::mergeFrom() supplies the cross-shard symbol resolution.
+/// Nothing in this file knows about the target or the IR.
 ///
 /// Determinism contract: the merged output is **byte-identical regardless
 /// of thread count and schedule**. This falls out of three rules:
@@ -48,20 +46,19 @@
 ///  3. The final merge walks fragments in shard-index order on the calling
 ///     thread (module-level globals fragment first).
 ///
-/// Two-pass (zero-merge) emission: with ParallelCompileOptions::
-/// InPlaceEmission (the default) the driver does not serially *copy* any
-/// fragment's text/data bytes into the output. The compile pass doubles
-/// as an exact pre-measure — every fragment's final section sizes are
-/// known once the shard pass (plus recovery) finishes — so the driver
-/// reserves each fragment's slice of the output sections in shard order
-/// (Assembler::reserveFrom, O(1) per shard in section bytes), lets the
-/// worker pool memcpy all fragments into their disjoint slices
+/// Two-pass (zero-merge) emission: the driver does not serially *copy*
+/// any fragment's text/data bytes into the output. The compile pass
+/// doubles as an exact pre-measure — every fragment's final section
+/// sizes are known once the shard pass (plus recovery) finishes — so the
+/// driver reserves each fragment's slice of the output sections in shard
+/// order (Assembler::reserveFrom, O(1) per shard in section bytes), lets
+/// the worker pool memcpy all fragments into their disjoint slices
 /// concurrently (Assembler::placeFrom), and keeps only the
 /// O(symbols + relocs) stitch (Assembler::stitchFrom) on the serial
-/// path. Output is byte-identical to the copy-merge fallback and to a
-/// serial compile — the three primitives *are* mergeFrom, resequenced —
-/// and emitStats() exposes the per-phase cost breakdown the bench rows
-/// record (docs/PERF.md "Two-pass emission").
+/// path. Output is byte-identical to a serial compile — the three
+/// primitives *are* mergeFrom, resequenced — and emitStats() exposes the
+/// per-phase cost breakdown the bench rows record (docs/PERF.md
+/// "Two-pass emission").
 ///
 /// Cross-shard references (calls, global addresses) work because the code
 /// generators only ever reference symbols through relocations: a shard
@@ -158,12 +155,6 @@ struct ParallelCompileOptions {
   /// status and never reaches codegen. Off by default on the production
   /// path, on in the tests.
   bool Verify = false;
-  /// Two-pass zero-merge emission (see the file comment): reserve every
-  /// shard's output slice serially, place all text/data bytes in
-  /// parallel, stitch only symbols/relocations serially. Byte-identical
-  /// to the copy-merge fallback (false) for any thread count; the
-  /// fallback exists for A/B measurement and debugging.
-  bool InPlaceEmission = true;
 };
 
 /// Per-phase cost breakdown of the last compile()/compileJobs(), for the
@@ -171,20 +162,18 @@ struct ParallelCompileOptions {
 /// claim in docs/PERF.md. Wall-clock nanoseconds via tpde::nowNs().
 struct EmitStats {
   u64 CompileNs = 0; ///< Parallel shard pass incl. snapshots + recovery.
-  u64 ReserveNs = 0; ///< Serial slice reservation (in-place mode only).
+  u64 ReserveNs = 0; ///< Serial slice reservation (pass 1).
   u64 PlaceNs = 0;   ///< Parallel in-place byte placement (pass 2).
-  u64 StitchNs = 0;  ///< Serial merge tail: rodata dedup, symbols, relocs
-                     ///< (in copy-merge mode: the whole byte-copy merge).
+  u64 StitchNs = 0;  ///< Serial merge tail: rodata dedup, symbols, relocs.
   u64 StitchRelocs = 0; ///< Relocations rebased by the serial stitch.
   u64 PlacedBytes = 0;  ///< Text+data bytes written by parallel placement.
-  bool InPlace = false; ///< Which emission path the last compile used.
 };
 
 /// Reusable parallel compilation pipeline for one module. Construction
 /// spawns the worker pool; compile() may be called repeatedly (e.g. a JIT
 /// recompiling on deoptimization) and is allocation-free in steady state:
-/// workers reuse their compiler/assembler state via the module-level
-/// symbol-batching fast path, and all fragments retain their capacity.
+/// workers rewind their compiler/assembler state per shard instead of
+/// freeing it, and all fragments retain their capacity.
 template <ParallelCompileWorker WorkerT>
 class ParallelModuleCompiler {
 public:
@@ -253,10 +242,7 @@ public:
     Out.reset();
     try {
       Out.mergeFrom(GlobalsFrag);
-      if (Opts.InPlaceEmission)
-        emitShardsInPlace(Out);
-      else
-        mergeShardsByCopy(Out);
+      emitShardsInPlace(Out);
     } catch (...) {
       support::CompileStatus D;
       D.Err = support::CompileErr::OutOfMemory;
@@ -289,11 +275,9 @@ public:
   /// fragment first, then the job's shards in index order, the exact
   /// walk compile() does for a whole module. Outs[J]'s section bytes are
   /// therefore identical to compiling job J's functions as their own
-  /// module (batch neighbors change only which *declarations* the
-  /// module-level fragment carries, and declarations contribute no
-  /// section bytes). The compile service's content-addressed cache
-  /// depends on this: a batched compile and a solo compile of the same
-  /// job must be byte-identical (tests/service_test.cpp asserts it).
+  /// module. The compile service's content-addressed cache depends on
+  /// this: a batched compile and a solo compile of the same job must be
+  /// byte-identical (tests/service_test.cpp asserts it).
   ///
   /// JobStatus[J] receives job J's first diagnostic (Ok when clean); a
   /// module-level failure (verify gate, globals fragment) fails every
@@ -343,103 +327,71 @@ public:
         JobStatus[J] = D;
     }
 
-    // Per-job ordered rebuilds. In-place mode shares one placement pass
-    // across the whole batch: every job's slices are reserved first (the
-    // job's own assembler is the destination), then the worker pool
-    // places all jobs' shards concurrently, then each job is stitched in
-    // shard order — each job's bytes identical to its solo compile.
-    if (Opts.InPlaceEmission) {
-      Stats.InPlace = true;
-      preparePlans();
-      u64 T = nowNs();
-      for (size_t J = 0; J < K; ++J) {
-        asmx::Assembler &Out = *Outs[J];
-        Out.reset();
-        if (ModDiag && JobStatus[J].ok())
-          JobStatus[J] = *ModDiag;
-        try {
-          Out.mergeFrom(GlobalsFrag);
-          for (u32 S = JobShardBegin[J]; S < JobShardBegin[J + 1]; ++S)
-            reserveShard(Out, S);
-        } catch (...) {
-          // Shards not yet reserved stay unplanned (PlaceOut == null):
-          // the placement and stitch passes skip them.
-          if (JobStatus[J].ok()) {
-            JobStatus[J].Err = support::CompileErr::OutOfMemory;
-            JobStatus[J].Message = "allocation failed merging job";
-          }
-        }
-      }
-      Stats.ReserveNs += nowNs() - T;
-      runPlacementPass();
-      for (u32 S = 0; S < NumShards; ++S) {
-        if (!PlaceFailed[S])
-          continue;
-        size_t J = static_cast<size_t>(
-            std::upper_bound(JobShardBegin.begin() + 1, JobShardBegin.end(),
-                             S) -
-            (JobShardBegin.begin() + 1));
+    // Per-job ordered rebuilds sharing one placement pass across the
+    // whole batch: every job's slices are reserved first (the job's own
+    // assembler is the destination), then the worker pool places all
+    // jobs' shards concurrently, then each job is stitched in shard
+    // order — each job's bytes identical to its solo compile.
+    preparePlans();
+    u64 T = nowNs();
+    for (size_t J = 0; J < K; ++J) {
+      asmx::Assembler &Out = *Outs[J];
+      Out.reset();
+      if (ModDiag && JobStatus[J].ok())
+        JobStatus[J] = *ModDiag;
+      try {
+        Out.mergeFrom(GlobalsFrag);
+        for (u32 S = JobShardBegin[J]; S < JobShardBegin[J + 1]; ++S)
+          reserveShard(Out, S);
+      } catch (...) {
+        // Shards not yet reserved stay unplanned (PlaceOut == null):
+        // the placement and stitch passes skip them.
         if (JobStatus[J].ok()) {
-          JobStatus[J].Err = support::CompileErr::FaultInjected;
-          JobStatus[J].Message = "fault injected: section-place";
+          JobStatus[J].Err = support::CompileErr::OutOfMemory;
+          JobStatus[J].Message = "allocation failed merging job";
         }
       }
-      T = nowNs();
-      for (size_t J = 0; J < K; ++J) {
-        asmx::Assembler &Out = *Outs[J];
-        try {
-          for (u32 S = JobShardBegin[J]; S < JobShardBegin[J + 1]; ++S) {
-            if (!PlaceOut[S])
-              continue;
-            Stats.StitchRelocs += Frags[S]->relocs().size();
-            Out.stitchFrom(*Frags[S], Plans[S]);
-          }
-        } catch (...) {
-          if (JobStatus[J].ok()) {
-            JobStatus[J].Err = support::CompileErr::OutOfMemory;
-            JobStatus[J].Message = "allocation failed merging job";
-          }
-          continue;
-        }
-        if (Out.hasError() && JobStatus[J].ok()) {
-          JobStatus[J].Err =
-              Out.errorCode() == support::CompileErr::FaultInjected
-                  ? support::CompileErr::FaultInjected
-                  : support::CompileErr::MergeError;
-          JobStatus[J].Message.assign(Out.errorMessage());
-        }
-      }
-      Stats.StitchNs += nowNs() - T;
-    } else {
-      u64 T = nowNs();
-      for (size_t J = 0; J < K; ++J) {
-        asmx::Assembler &Out = *Outs[J];
-        Out.reset();
-        if (ModDiag && JobStatus[J].ok())
-          JobStatus[J] = *ModDiag;
-        try {
-          Out.mergeFrom(GlobalsFrag);
-          for (u32 S = JobShardBegin[J]; S < JobShardBegin[J + 1]; ++S) {
-            Stats.StitchRelocs += Frags[S]->relocs().size();
-            Out.mergeFrom(*Frags[S]);
-          }
-        } catch (...) {
-          if (JobStatus[J].ok()) {
-            JobStatus[J].Err = support::CompileErr::OutOfMemory;
-            JobStatus[J].Message = "allocation failed merging job";
-          }
-          continue;
-        }
-        if (Out.hasError() && JobStatus[J].ok()) {
-          JobStatus[J].Err =
-              Out.errorCode() == support::CompileErr::FaultInjected
-                  ? support::CompileErr::FaultInjected
-                  : support::CompileErr::MergeError;
-          JobStatus[J].Message.assign(Out.errorMessage());
-        }
-      }
-      Stats.StitchNs += nowNs() - T;
     }
+    Stats.ReserveNs += nowNs() - T;
+    runPlacementPass();
+    for (u32 S = 0; S < NumShards; ++S) {
+      if (!PlaceFailed[S])
+        continue;
+      size_t J = static_cast<size_t>(
+          std::upper_bound(JobShardBegin.begin() + 1, JobShardBegin.end(),
+                           S) -
+          (JobShardBegin.begin() + 1));
+      if (JobStatus[J].ok()) {
+        JobStatus[J].Err = support::CompileErr::FaultInjected;
+        JobStatus[J].Message = "fault injected: section-place";
+      }
+    }
+    T = nowNs();
+    for (size_t J = 0; J < K; ++J) {
+      asmx::Assembler &Out = *Outs[J];
+      try {
+        for (u32 S = JobShardBegin[J]; S < JobShardBegin[J + 1]; ++S) {
+          if (!PlaceOut[S])
+            continue;
+          Stats.StitchRelocs += Frags[S]->relocs().size();
+          Out.stitchFrom(*Frags[S], Plans[S]);
+        }
+      } catch (...) {
+        if (JobStatus[J].ok()) {
+          JobStatus[J].Err = support::CompileErr::OutOfMemory;
+          JobStatus[J].Message = "allocation failed merging job";
+        }
+        continue;
+      }
+      if (Out.hasError() && JobStatus[J].ok()) {
+        JobStatus[J].Err =
+            Out.errorCode() == support::CompileErr::FaultInjected
+                ? support::CompileErr::FaultInjected
+                : support::CompileErr::MergeError;
+        JobStatus[J].Message.assign(Out.errorMessage());
+      }
+    }
+    Stats.StitchNs += nowNs() - T;
 
     bool AllOK = true;
     for (size_t J = 0; J < K; ++J)
@@ -484,7 +436,7 @@ public:
     return ShardStatus[S];
   }
   /// Per-phase cost breakdown of the last compile()/compileJobs() —
-  /// which emission path ran and where the wall-clock went.
+  /// where the wall-clock went.
   const EmitStats &emitStats() const { return Stats; }
 
 private:
@@ -522,8 +474,8 @@ private:
     }
     JobCV.notify_all();
 
-    // The calling thread produces the module-level fragment (global data +
-    // declarations) and then joins shard compilation as worker 0.
+    // The calling thread produces the module-level fragment (global data)
+    // and then joins shard compilation as worker 0.
     bool GlobalsFailed = !compileGlobalsFrag();
     drainQueue(0, PassKind::Compile);
 
@@ -546,23 +498,11 @@ private:
         retryShard(S);
   }
 
-  /// Copy-merge fallback for compile(): the pre-PR serial byte-copy walk.
-  void mergeShardsByCopy(asmx::Assembler &Out) {
-    u64 T = nowNs();
-    for (u32 S = 0; S < NumShards; ++S) {
-      bool PrevErr = Out.hasError();
-      Stats.StitchRelocs += Frags[S]->relocs().size();
-      Out.mergeFrom(*Frags[S]);
-      noteMergeError(Out, S, PrevErr);
-    }
-    Stats.StitchNs += nowNs() - T;
-  }
-
   /// Two-pass emission for compile(): reserve every shard's slice of
   /// \p Out in shard order, place all bytes on the worker pool, stitch
-  /// symbols/relocations serially. Byte-identical to mergeShardsByCopy.
+  /// symbols/relocations serially. Byte-identical to merging every
+  /// fragment with Assembler::mergeFrom() in shard order.
   void emitShardsInPlace(asmx::Assembler &Out) {
-    Stats.InPlace = true;
     preparePlans();
     u64 T = nowNs();
     for (u32 S = 0; S < NumShards; ++S)
@@ -818,9 +758,9 @@ private:
                 "fault injected: shard-compile");
       return;
     }
-    // compileRange rewinds (or resets) the worker's assembler itself; after
-    // the first compile this hits the symbol-batching fast path and the
-    // whole shard compile is allocation-free. A throwing compile (e.g. an
+    // compileRange rewinds the worker's assembler itself; once its buffers
+    // reached their high-water mark the whole shard compile is
+    // allocation-free. A throwing compile (e.g. an
     // injected arena-growth failure) poisons only this shard: the worker's
     // state is rewound wholesale at its next compileRange.
     bool OK = false;

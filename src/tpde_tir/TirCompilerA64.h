@@ -8,8 +8,8 @@
 /// the AAPCS64 call machinery (a64/CompilerA64.h), and the module/range
 /// drivers (core/CompilerBase.h) are all shared with the x64 back-end.
 /// It implements the full entry-point surface of TirCompilerX64 —
-/// compile(), compileReuse(), compileRange(), compileGlobals(), the
-/// declareGlobals() hook — so the backend-agnostic parallel driver
+/// compile(), compileRange(), compileGlobals(), the beginModule() hook —
+/// so the backend-agnostic parallel driver
 /// (core/ParallelCompiler.h) instantiates over it unchanged.
 ///
 /// The two fusions the paper calls out as critical (§3.4.4/§5.1.2) are
@@ -50,48 +50,30 @@ public:
     return this->compileModule();
   }
 
-  /// Recompiles the module, reusing the assembler's symbol table from the
-  /// previous compile (module-level symbol batching). No Assembler::reset()
-  /// needed — the compiler rewinds sections itself.
-  bool compileReuse() {
-    Fused.reserve(this->A.maxValueCount());
-    return this->recompileModule();
-  }
-
-  /// Compiles only functions [Begin, End); everything else is declared.
-  /// Shard entry point used by the parallel module compiler.
+  /// Compiles only functions [Begin, End); other functions and globals
+  /// get a declaration only where referenced. Shard entry point used by
+  /// the parallel module compiler.
   bool compileRange(u32 Begin, u32 End) {
     Fused.reserve(this->A.maxValueCount());
     return this->compileFunctionRange(Begin, End);
   }
 
-  /// Emits the module-level fragment (global data + declarations) only.
+  /// Emits the module-level fragment (defined globals' data) only.
   bool compileGlobals() { return this->compileGlobalsOnly(); }
-
-  /// Cache-key input for the symbol-reuse fast path (CompilerBase): a
-  /// change in the module's global count must invalidate GlobalSyms.
-  u32 moduleGlobalCount() {
-    return static_cast<u32>(this->A.module().Globals.size());
-  }
 
   // =====================================================================
   // Framework hooks
   // =====================================================================
 
-  void defineGlobals() {
-    // Constant-pool symbols refer into the assembler's symbol table,
-    // which restarts per module compile (capacity retained).
-    FpPool.clear();
-    defineTirGlobals(this->Asm, this->A.module(), GlobalSyms,
-                     this->moduleSymEpoch());
-  }
-
-  /// Sparse-mode variant of defineGlobals() (shard compiles): registers
-  /// nothing — globalSym() materializes a global's symbol at its first
-  /// reference, so a shard only pays for globals it touches.
-  void declareGlobals() {
+  /// Per-compile module state: the constant pool and the global-symbol
+  /// cache restart with the assembler's symbol table; serial and
+  /// globals-only compiles also emit the defined globals' data.
+  void beginModule(bool EmitData) {
     FpPool.clear();
     GlobalSyms.prepare(this->A.module());
+    if (EmitData)
+      defineTirGlobals(this->Asm, this->A.module(), GlobalSyms,
+                       this->moduleSymEpoch());
   }
 
   /// On-demand global symbol (see TirGlobals.h).

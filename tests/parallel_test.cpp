@@ -18,6 +18,7 @@
 #include "asmx/JITMapper.h"
 #include "support/AllocCounter.h"
 #include "support/WorkQueue.h"
+#include "tir/Builder.h"
 #include "tpde_tir/ParallelCompiler.h"
 #include "uir/ParallelCompiler.h"
 #include "workloads/Generator.h"
@@ -161,6 +162,35 @@ tir::Module makeSimModule(u64 Seed, u32 NumFuncs, bool WithFloat) {
     P.FloatPct = 0;
   workloads::genModule(M, P);
   return M;
+}
+
+/// makeModule() plus entities nothing references: function declarations
+/// and undefined globals. An on-demand compile materializes none of them.
+tir::Module makeModuleWithUnusedDecls(u64 Seed, u32 NumFuncs) {
+  tir::Module M = makeModule(Seed, NumFuncs, /*SSAForm=*/true);
+  for (u32 I = 0; I < 6; ++I) {
+    tir::declareFunc(M, "unused_fn_" + std::to_string(I), tir::Type::I64,
+                     {tir::Type::I64});
+    tir::Global G;
+    G.Name = "unused_extern_" + std::to_string(I);
+    G.Size = 8;
+    G.Defined = false;
+    M.Globals.push_back(std::move(G));
+  }
+  return M;
+}
+
+/// Every symbol in \p Asm is a definition or a relocation target.
+void expectOnlyDefinedOrReferenced(const asmx::Assembler &Asm,
+                                   const char *What) {
+  std::vector<u8> Referenced(Asm.symbolCount(), 0);
+  for (const asmx::Reloc &R : Asm.relocs())
+    Referenced[R.Sym.Idx] = 1;
+  for (u32 I = 0; I < Asm.symbolCount(); ++I) {
+    const asmx::Symbol &S = Asm.symbols()[I];
+    EXPECT_TRUE(S.Defined || Referenced[I])
+        << What << ": unreferenced declaration '" << S.Name << "'";
+  }
 }
 
 } // namespace
@@ -573,6 +603,35 @@ TEST(SparseShardSymbols, ShardTableIsProportionalToShardNotModule) {
       << "steady-state sparse shard recompilation allocated";
 }
 
+/// The serial compile is the driver with one inline shard: its symbol
+/// table holds only definitions and relocation targets, never the whole
+/// module's declarations — for every back-end.
+TEST(SparseShardSymbols, SerialCompileHoldsOnlyDefinedAndReferenced) {
+  tir::Module M = makeModuleWithUnusedDecls(17, 24);
+  asmx::Assembler X64Asm;
+  ASSERT_TRUE(tpde_tir::compileModuleX64(M, X64Asm));
+  expectOnlyDefinedOrReferenced(X64Asm, "x64");
+  EXPECT_FALSE(X64Asm.findSymbol("unused_fn_0").isValid());
+  EXPECT_FALSE(X64Asm.findSymbol("unused_extern_0").isValid());
+  EXPECT_TRUE(X64Asm.findSymbol("wl_scratch").isValid())
+      << "defined global data must still be emitted";
+
+  asmx::Assembler A64Asm;
+  ASSERT_TRUE(tpde_tir::compileModuleA64(M, A64Asm));
+  expectOnlyDefinedOrReferenced(A64Asm, "a64");
+  EXPECT_FALSE(A64Asm.findSymbol("unused_fn_0").isValid());
+  EXPECT_FALSE(A64Asm.findSymbol("unused_extern_0").isValid());
+
+  workloads::QueryProfile QP;
+  QP.Seed = 17;
+  QP.NumQueries = 24;
+  uir::UModule UM;
+  workloads::genQueryModule(UM, QP);
+  asmx::Assembler UirAsm;
+  ASSERT_TRUE(uir::compileTpdeUir(UM, UirAsm));
+  expectOnlyDefinedOrReferenced(UirAsm, "uir");
+}
+
 // --- Large-module determinism (the 10k-function acceptance suite) ----------
 
 namespace {
@@ -651,38 +710,51 @@ TEST(LargeModuleDeterminism, ElfIdenticalToSerialA64) {
   }
 }
 
-/// The copy-merge fallback (InPlaceEmission=false) and the default
-/// two-pass in-place path are the same merge resequenced — both must
-/// reproduce the serial module's full ELF object, and emitStats() must
-/// report which path ran plus a plausible cost breakdown (bytes placed
-/// never exceed the merged text+data, stitch visits every shard reloc).
-TEST(LargeModuleDeterminism, CopyMergeFallbackMatchesInPlace) {
+/// Two-pass in-place emission reproduces the serial module's full ELF
+/// object, and emitStats() reports a plausible cost breakdown: bytes
+/// placed never exceed the merged text+data, and the stitch visits every
+/// shard reloc.
+TEST(LargeModuleDeterminism, TwoPassEmissionMatchesSerial) {
   tir::Module M = makeModule(13, 40, true);
   asmx::Assembler SerialAsm;
   ASSERT_TRUE(tpde_tir::compileModuleX64(M, SerialAsm));
   std::vector<u8> SerialObj =
       asmx::writeElfObject(SerialAsm, asmx::ElfMachine::X86_64);
 
-  for (bool InPlace : {true, false}) {
-    tpde_tir::ParallelCompileOptions Opts;
-    Opts.NumThreads = 4;
-    Opts.InPlaceEmission = InPlace;
-    tpde_tir::ParallelModuleCompiler PC(M, Opts);
+  tpde_tir::ParallelCompileOptions Opts;
+  Opts.NumThreads = 4;
+  tpde_tir::ParallelModuleCompiler PC(M, Opts);
+  asmx::Assembler Out;
+  ASSERT_TRUE(PC.compile(Out));
+  const core::EmitStats &St = PC.emitStats();
+  EXPECT_GT(St.PlacedBytes, 0u);
+  EXPECT_LE(St.PlacedBytes, Out.text().Data.size() +
+                                Out.section(asmx::SecKind::Data).Data.size())
+      << "placed more bytes than the merged output holds";
+  EXPECT_GT(St.StitchRelocs, 0u) << "shard relocs went unstitched";
+  EXPECT_EQ(asmx::writeElfObject(Out, asmx::ElfMachine::X86_64), SerialObj)
+      << "in-place emission diverged from the serial compile";
+}
+
+/// Unreferenced declarations and undefined globals leave no trace in
+/// either path, so the serial object still equals the parallel one.
+TEST(LargeModuleDeterminism, UnusedDeclarationsElfIdenticalToParallel) {
+  tir::Module M = makeModuleWithUnusedDecls(23, 40);
+  asmx::Assembler SerialX64, SerialA64;
+  ASSERT_TRUE(tpde_tir::compileModuleX64(M, SerialX64));
+  ASSERT_TRUE(tpde_tir::compileModuleA64(M, SerialA64));
+  std::vector<u8> X64Obj =
+      asmx::writeElfObject(SerialX64, asmx::ElfMachine::X86_64);
+  std::vector<u8> A64Obj =
+      asmx::writeElfObject(SerialA64, asmx::ElfMachine::AArch64);
+  for (unsigned Threads : {1u, 4u}) {
     asmx::Assembler Out;
-    ASSERT_TRUE(PC.compile(Out)) << "in_place=" << InPlace;
-    const core::EmitStats &St = PC.emitStats();
-    EXPECT_EQ(St.InPlace, InPlace);
-    if (InPlace) {
-      EXPECT_GT(St.PlacedBytes, 0u);
-      EXPECT_LE(St.PlacedBytes,
-                Out.text().Data.size() +
-                    Out.section(asmx::SecKind::Data).Data.size())
-          << "placed more bytes than the merged output holds";
-    }
-    EXPECT_GT(St.StitchRelocs, 0u) << "shard relocs went unstitched";
-    EXPECT_EQ(asmx::writeElfObject(Out, asmx::ElfMachine::X86_64), SerialObj)
-        << "in_place=" << InPlace
-        << ": emission path diverged from the serial compile";
+    ASSERT_TRUE(tpde_tir::compileModuleX64Parallel(M, Out, Threads));
+    EXPECT_EQ(asmx::writeElfObject(Out, asmx::ElfMachine::X86_64), X64Obj)
+        << "x64 threads=" << Threads;
+    ASSERT_TRUE(tpde_tir::compileModuleA64Parallel(M, Out, Threads));
+    EXPECT_EQ(asmx::writeElfObject(Out, asmx::ElfMachine::AArch64), A64Obj)
+        << "a64 threads=" << Threads;
   }
 }
 
@@ -819,20 +891,23 @@ TEST(UirParallelReuse, SteadyStateIsAllocationFreeSingleWorker) {
       << " times (" << W.newBytes() << " bytes)";
 }
 
-/// The serial reuse path (module-level symbol batching) holds for the
-/// database back-end too: recompiling a query module through one
-/// compiler is byte-identical and allocation-free once warm.
+/// The serial reuse path holds for the database back-end too:
+/// recompiling a query module through one compiler into a reset()
+/// assembler is byte-identical and allocation-free once warm.
 TEST(UirParallelReuse, SerialRecompileIsByteIdenticalAndAllocationFree) {
   uir::UModule M = makeQueryModule(7, 24);
   uir::UirAdapter A(M);
   asmx::Assembler Asm;
   uir::UirCompilerX64 C(A, Asm);
-  ASSERT_TRUE(C.compileReuse());
+  ASSERT_TRUE(C.compile());
   std::vector<u8> First(Asm.text().Data.begin(), Asm.text().Data.end());
-  for (int I = 0; I < 2; ++I)
-    ASSERT_TRUE(C.compileReuse());
+  for (int I = 0; I < 2; ++I) {
+    Asm.reset();
+    ASSERT_TRUE(C.compile());
+  }
   support::AllocWatch W;
-  ASSERT_TRUE(C.compileReuse());
+  Asm.reset();
+  ASSERT_TRUE(C.compile());
   EXPECT_EQ(W.newCalls(), 0u)
       << "steady-state UIR recompile allocated " << W.newCalls() << " times";
   EXPECT_TRUE(Asm.text().Data.size() == First.size() &&
