@@ -28,6 +28,11 @@ invisible to the compiler and to clang's thread-safety analysis:
                   / sleep_until outside src/service/ (time-based waits in
                   compile paths hide ordering bugs; the service layer's
                   backoff sleeps are policy, not synchronization).
+  target-neutral  In files carrying a `// tpde-lint: target-neutral` marker:
+                  no #include of an x64/ or a64/ header and no x64:: /
+                  a64:: name. These files hold what every target shares
+                  (the framework core, the shared TIR lowering); a target
+                  detail there would silently bind the other target to it.
 
 Suppressions (each names the rule it silences, so grep finds them all):
 
@@ -51,10 +56,12 @@ import re
 import sys
 from pathlib import Path
 
-RULES = ("raw-sync", "local-static", "hot-path-alloc", "banned-api")
+RULES = ("raw-sync", "local-static", "hot-path-alloc", "banned-api",
+         "target-neutral")
 
 DIRECTIVE_RE = re.compile(r"//\s*tpde-lint:\s*(allow(?:-file)?)\(([a-z-]+)\)")
 MARKER_RE = re.compile(r"//\s*tpde-lint:\s*hot-path")
+NEUTRAL_MARKER_RE = re.compile(r"//\s*tpde-lint:\s*target-neutral")
 EXPECT_RE = re.compile(r"//\s*tpde-lint-expect:\s*([a-z-]+)")
 
 RAW_SYNC_RE = re.compile(
@@ -71,6 +78,9 @@ HOT_ALLOC_RE = re.compile(
     r"std\s*::\s*(vector|string|unordered_map|unordered_set|map|set|"
     r"deque|list|function)\b"
 )
+INCLUDE_RE = re.compile(r"^\s*#\s*include\b")
+TARGET_INCLUDE_RE = re.compile(r'#\s*include\s*[<"](x64|a64)/')
+TARGET_NAME_RE = re.compile(r"\b(x64|a64)\s*::")
 RAND_RE = re.compile(r"\b(rand|srand)\s*\(")
 SLEEP_RE = re.compile(r"std\s*::\s*this_thread\s*::\s*sleep_(for|until)\b")
 LOCAL_STATIC_RE = re.compile(r"^\s*(static|thread_local)\b")
@@ -169,9 +179,12 @@ def lint_file(path, text, rel):
     file_allow = set()
     line_allow = {}  # line number (1-based) -> set of rules
     hot_path = False
+    neutral = False
     for ln, line in enumerate(raw_lines, 1):
         if MARKER_RE.search(line):
             hot_path = True
+        if NEUTRAL_MARKER_RE.search(line):
+            neutral = True
         for kind, rule in DIRECTIVE_RE.findall(line):
             if rule not in RULES:
                 raise SystemExit(f"{rel}:{ln}: unknown lint rule '{rule}'")
@@ -207,6 +220,16 @@ def lint_file(path, text, rel):
                        f"'{m.group(0).strip()}' in a hot-path file — the "
                        "zero-allocation policy (docs/PERF.md) requires the "
                        "support/ primitives here")
+        if neutral:
+            # Include paths are string literals: match them on the raw
+            # line, but only where the stripped line is a real #include.
+            m = INCLUDE_RE.match(line) and TARGET_INCLUDE_RE.search(
+                raw_lines[ln - 1])
+            m = m or TARGET_NAME_RE.search(line)
+            if m:
+                report(ln, "target-neutral",
+                       f"'{m.group(0).strip()}' in a target-neutral file — "
+                       "target code belongs in the target's emitters")
         m = RAND_RE.search(line)
         if m:
             report(ln, "banned-api",

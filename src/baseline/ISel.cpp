@@ -751,19 +751,27 @@ private:
     } else {
       T = copyToNew(Src, 0);
     }
+    // The amount wraps at the type's bit width; a 32-bit shift of a
+    // sub-32-bit value would take a dynamic amount modulo 32.
+    u8 Mask = shiftAmountMask(V.Ty);
     if (ConstAmt) {
       MInst MI = mk(MOp::ShiftImm);
       MI.Sz = opSz(W);
       MI.CC = static_cast<x64::Cond>(SO);
       MI.Dst = MI.SrcA = T;
-      MI.Imm = static_cast<i64>(RV.Aux & (8 * W - 1));
+      MI.Imm = static_cast<i64>(RV.Aux & Mask);
       emit(MI);
     } else {
+      u32 Amt = useVal(F.operand(V, 1));
+      if (W < 4) {
+        Amt = copyToNew(Amt, 0);
+        emitAluImm(x64::AluOp::And, 4, Amt, Mask);
+      }
       MInst MI = mk(MOp::Shift);
       MI.Sz = opSz(W);
       MI.CC = static_cast<x64::Cond>(SO);
       MI.Dst = MI.SrcA = T;
-      MI.SrcB = useVal(F.operand(V, 1));
+      MI.SrcB = Amt;
       emit(MI);
     }
     movTo(vregOf(I, 0), T, 0);

@@ -524,8 +524,14 @@ bool Compiler::compileInst(ValRef I, u32 B) {
       inst(T, A0(), A1(), 0, Res());
       return true;
     }
-    const Template &T = getTemplate(key(V.Opcode, W), [&](Emitter &E) {
+    // The amount wraps at the type's bit width (i1 and i8 differ only
+    // there); the 32-bit shift of a sub-32-bit value would take it
+    // modulo 32.
+    u8 Mask = shiftAmountMask(V.Ty);
+    const Template &T = getTemplate(key(V.Opcode, W, Mask), [&](Emitter &E) {
       E.load(8, RCX, mB());
+      if (W < 4)
+        E.aluRI(AluOp::And, 4, RCX, Mask);
       if (W < 4 && V.Opcode != Op::Shl) {
         E.load(8, RAX, mA());
         if (V.Opcode == Op::AShr)
@@ -692,9 +698,11 @@ bool Compiler::compileInst(ValRef I, u32 B) {
     return true;
   }
   case Op::Trunc: {
-    const Template &T = getTemplate(key(V.Opcode, W), [&](Emitter &E) {
+    // i1 and i8 share a width but not the template.
+    bool ToI1 = V.Ty == Type::I1;
+    const Template &T = getTemplate(key(V.Opcode, W, ToI1), [&](Emitter &E) {
       E.load(8, RAX, mA());
-      if (V.Ty == Type::I1)
+      if (ToI1)
         E.aluRI(AluOp::And, 4, RAX, 1);
       E.store(8, mR(), RAX);
     });

@@ -23,6 +23,9 @@
 #ifndef TPDE_CORE_ADAPTER_H
 #define TPDE_CORE_ADAPTER_H
 
+// tpde-lint: target-neutral -- shared by every target back-end; target
+// headers and names stay out (enforced by scripts/tpde_lint.py).
+
 #include "asmx/Assembler.h"
 #include "support/Common.h"
 

@@ -25,6 +25,9 @@
 #ifndef TPDE_CORE_ANALYZER_H
 #define TPDE_CORE_ANALYZER_H
 
+// tpde-lint: target-neutral -- shared by every target back-end; target
+// headers and names stay out (enforced by scripts/tpde_lint.py).
+
 #include "core/Adapter.h"
 #include "support/Common.h"
 

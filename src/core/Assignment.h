@@ -15,6 +15,9 @@
 #ifndef TPDE_CORE_ASSIGNMENT_H
 #define TPDE_CORE_ASSIGNMENT_H
 
+// tpde-lint: target-neutral -- shared by every target back-end; target
+// headers and names stay out (enforced by scripts/tpde_lint.py).
+
 #include "support/Common.h"
 
 #include <vector>

@@ -15,6 +15,9 @@
 ///      ^-- CompilerX64<Adapter, Derived>       (target mixin: ABI, prologue)
 ///             ^-- <IR>CompilerX64              (instruction compilers)
 ///
+/// An IR lowered to several targets shares its dispatch in one more layer
+/// above the mixin (tpde_tir::TirLowering, docs/ARCHITECTURE.md).
+///
 /// Derived must provide:
 ///   emitMoveRR(bank, size, dst, src)       register-register copy
 ///   emitSlotStore(bank, size, off, src)    spill store to [fp + off]
@@ -34,6 +37,9 @@
 #ifndef TPDE_CORE_COMPILERBASE_H
 #define TPDE_CORE_COMPILERBASE_H
 
+// tpde-lint: target-neutral -- shared by every target back-end; target
+// headers and names stay out (enforced by scripts/tpde_lint.py).
+
 #include "asmx/Assembler.h"
 #include "core/Adapter.h"
 #include "core/Analyzer.h"
@@ -43,6 +49,7 @@
 #include "support/SmallVector.h"
 
 #include <array>
+#include <string>
 #include <vector>
 
 namespace tpde::core {
@@ -1116,6 +1123,45 @@ protected:
   /// slots stamped 0 — the first compile bumps before any lookup.
   u64 SymEpoch = 0;
 };
+
+/// The serial one-shot compile behind every convenience entry point
+/// (tpde_tir::compileModuleX64/A64, uir::compileTpdeUir): with \p Verify,
+/// \p Verifier(M, Errors) gates the module first so malformed IR never
+/// reaches the emitter; then a fresh CompilerT over a fresh AdapterT
+/// compiles \p M into \p Asm. \p StatusOut (optional) receives the
+/// structured diagnostic on failure.
+template <typename AdapterT, typename CompilerT, typename ModuleT,
+          typename VerifyFn>
+bool compileModuleOnce(ModuleT &M, asmx::Assembler &Asm, bool Verify,
+                       VerifyFn Verifier, support::CompileStatus *StatusOut) {
+  if (StatusOut)
+    StatusOut->clear();
+  if (Verify) {
+    std::string Errors;
+    if (!Verifier(M, Errors)) {
+      if (StatusOut) {
+        StatusOut->Err = support::CompileErr::VerifyFailed;
+        StatusOut->Message = std::move(Errors);
+      }
+      return false;
+    }
+  }
+  AdapterT Adapter(M);
+  CompilerT Compiler(Adapter, Asm);
+  bool OK = false;
+  try {
+    OK = Compiler.compile();
+  } catch (...) { // arena growth (interned names) can throw bad_alloc
+    if (StatusOut) {
+      StatusOut->Err = support::CompileErr::OutOfMemory;
+      StatusOut->Message = "allocation failed during module compile";
+    }
+    return false;
+  }
+  if (!OK && StatusOut)
+    *StatusOut = Compiler.status();
+  return OK;
+}
 
 } // namespace tpde::core
 

@@ -15,6 +15,9 @@
 #ifndef TPDE_CORE_REGFILE_H
 #define TPDE_CORE_REGFILE_H
 
+// tpde-lint: target-neutral -- shared by every target back-end; target
+// headers and names stay out (enforced by scripts/tpde_lint.py).
+
 // tpde-lint: hot-path -- per-function compile loop; the zero-allocation
 // policy (docs/PERF.md) is machine-enforced here by scripts/tpde_lint.py.
 

@@ -54,6 +54,13 @@ inline bool isIntType(Type T) {
   return T >= Type::I1 && T <= Type::I128;
 }
 
+/// Shift amounts are taken modulo the bit width (as tir::Interp does);
+/// every width is a power of two, so that is a mask: bit width - 1, and 0
+/// for i1. Back-ends apply it to constant and dynamic amounts alike.
+inline u8 shiftAmountMask(Type T) {
+  return T == Type::I1 ? 0 : static_cast<u8>(8 * typeSize(T) - 1);
+}
+
 /// Integer comparison predicates (subset of LLVM's icmp).
 enum class ICmp : u8 { Eq, Ne, Ult, Ule, Ugt, Uge, Slt, Sle, Sgt, Sge };
 /// Float comparison predicates (ordered subset).

@@ -12,6 +12,9 @@
 #ifndef TPDE_TPDE_TIR_TIRADAPTER_H
 #define TPDE_TPDE_TIR_TIRADAPTER_H
 
+// tpde-lint: target-neutral -- shared by every target back-end; target
+// headers and names stay out (enforced by scripts/tpde_lint.py).
+
 #include "core/Adapter.h"
 #include "tir/TIR.h"
 

@@ -3,19 +3,15 @@
 /// \file
 /// The TPDE-based back-end for TIR targeting AArch64 — the paper's second
 /// target (§5: "targeting x86-64 and AArch64"), demonstrating the
-/// framework's adaptability: this file provides only the per-opcode
-/// instruction compilers; register allocation, value tracking, phi moves,
-/// the AAPCS64 call machinery (a64/CompilerA64.h), and the module/range
-/// drivers (core/CompilerBase.h) are all shared with the x64 back-end.
-/// It implements the full entry-point surface of TirCompilerX64 —
-/// compile(), compileRange(), compileGlobals(), the beginModule() hook —
-/// so the backend-agnostic parallel driver
-/// (core/ParallelCompiler.h) instantiates over it unchanged.
+/// framework's adaptability: this file provides only the AArch64
+/// instruction forms. Register allocation, value tracking, phi moves and
+/// the module/range drivers (core/CompilerBase.h), the AAPCS64 call
+/// machinery (a64/CompilerA64.h), and the opcode dispatch, fusion
+/// decisions and entry points (tpde_tir/TirLowering.h) are shared with the
+/// x64 back-end.
 ///
-/// The two fusions the paper calls out as critical (§3.4.4/§5.1.2) are
-/// implemented here as well: integer compare + conditional branch (via
-/// B.cond on live flags) and address computations folded into the
-/// load/store addressing mode (base + displacement, or base + index
+/// A fused compare becomes B.cond on live flags; a fused PtrAdd becomes
+/// the load/store addressing mode (base + displacement, or base + index
 /// shifted by the access size).
 ///
 /// A64 is a load/store three-operand ISA, so unlike the x64 compilers no
@@ -29,85 +25,23 @@
 #define TPDE_TPDE_TIR_TIRCOMPILERA64_H
 
 #include "a64/CompilerA64.h"
-#include "support/DenseMap.h"
-#include "tpde_tir/TirAdapter.h"
-#include "tpde_tir/TirGlobals.h"
+#include "tir/Verifier.h"
+#include "tpde_tir/TirLowering.h"
 
 namespace tpde::tpde_tir {
 
-class TirCompilerA64 : public a64::CompilerA64<TirAdapter, TirCompilerA64> {
+class TirCompilerA64 : public TirLowering<TirCompilerA64, a64::CompilerA64> {
 public:
-  using Base = a64::CompilerA64<TirAdapter, TirCompilerA64>;
-  using VPR = Base::ValuePartRef;
-  using Scratch = Base::ScratchReg;
-  using a64::CompilerA64<TirAdapter, TirCompilerA64>::E;
-
-  TirCompilerA64(TirAdapter &A, asmx::Assembler &Asm) : Base(A, Asm) {}
-
-  /// Compiles the whole module; returns false on unsupported constructs.
-  bool compile() {
-    Fused.reserve(this->A.maxValueCount());
-    return this->compileModule();
-  }
-
-  /// Compiles only functions [Begin, End); other functions and globals
-  /// get a declaration only where referenced. Shard entry point used by
-  /// the parallel module compiler.
-  bool compileRange(u32 Begin, u32 End) {
-    Fused.reserve(this->A.maxValueCount());
-    return this->compileFunctionRange(Begin, End);
-  }
-
-  /// Emits the module-level fragment (defined globals' data) only.
-  bool compileGlobals() { return this->compileGlobalsOnly(); }
-
-  // =====================================================================
-  // Framework hooks
-  // =====================================================================
-
-  /// Per-compile module state: the constant pool and the global-symbol
-  /// cache restart with the assembler's symbol table; serial and
-  /// globals-only compiles also emit the defined globals' data.
-  void beginModule(bool EmitData) {
-    FpPool.clear();
-    GlobalSyms.prepare(this->A.module());
-    if (EmitData)
-      defineTirGlobals(this->Asm, this->A.module(), GlobalSyms,
-                       this->moduleSymEpoch());
-  }
-
-  /// On-demand global symbol (see TirGlobals.h).
-  asmx::SymRef globalSym(u32 GI) {
-    return GlobalSyms.sym(this->Asm, this->A.module(), GI,
-                          this->moduleSymEpoch());
-  }
-
-  template <typename Fn> void forEachStackVar(Fn Cb) {
-    const tir::Function &F = this->A.func();
-    for (tir::ValRef SV : F.StackVars) {
-      const tir::Value &V = F.val(SV);
-      Cb(V.Aux, static_cast<u32>(V.Aux2));
-    }
-  }
-
-  void beginFunc(asmx::SymRef Sym) {
-    Base::beginFunc(Sym);
-    Fused.assign(this->A.valueCount(), 0);
-  }
+  using Lowering = TirLowering<TirCompilerA64, a64::CompilerA64>;
+  using Lowering::Lowering;
+  using Scratch = ScratchReg;
 
   void materializeConstLike(tir::ValRef V, u8 Part, core::Reg Dst) {
     const tir::Value &Val = this->A.val(V);
     switch (Val.Kind) {
-    case tir::ValKind::ConstInt: {
-      u64 Bits = Part == 0 ? Val.Aux : Val.Aux2;
-      u32 W = tir::partSize(Val.Ty, Part);
-      if (W < 8)
-        Bits &= (u64(1) << (8 * W)) - 1;
-      if (Val.Ty == tir::Type::I1)
-        Bits &= 1;
-      E.movRI(a64::ar(Dst), Bits);
+    case tir::ValKind::ConstInt:
+      E.movRI(a64::ar(Dst), constIntBits(Val, Part));
       return;
-    }
     case tir::ValKind::ConstFP: {
       u8 Sz = Val.Ty == tir::Type::F32 ? 4 : 8;
       // X17 is the instruction compilers' reserved scratch (never
@@ -128,99 +62,8 @@ public:
     }
   }
 
-  // =====================================================================
-  // Instruction dispatch
-  // =====================================================================
-
-  bool compileInst(tir::ValRef I) {
-    if (Fused[I])
-      return true;
-    const tir::Value &V = this->A.val(I);
-    switch (V.Opcode) {
-    case tir::Op::Add:
-    case tir::Op::Sub:
-    case tir::Op::And:
-    case tir::Op::Or:
-    case tir::Op::Xor:
-      return compileIntAlu(I, V);
-    case tir::Op::Mul:
-      return compileMul(I, V);
-    case tir::Op::UDiv:
-    case tir::Op::SDiv:
-    case tir::Op::URem:
-    case tir::Op::SRem:
-      return compileDivRem(I, V);
-    case tir::Op::Shl:
-    case tir::Op::LShr:
-    case tir::Op::AShr:
-      return compileShift(I, V);
-    case tir::Op::ICmpOp:
-      return compileICmp(I, V);
-    case tir::Op::FCmpOp:
-      return compileFCmp(I, V);
-    case tir::Op::FAdd:
-    case tir::Op::FSub:
-    case tir::Op::FMul:
-    case tir::Op::FDiv:
-      return compileFpAlu(I, V);
-    case tir::Op::Neg:
-    case tir::Op::Not:
-      return compileIntUnary(I, V);
-    case tir::Op::FNeg:
-      return compileFNeg(I, V);
-    case tir::Op::Zext:
-    case tir::Op::Sext:
-    case tir::Op::Trunc:
-    case tir::Op::FpToSi:
-    case tir::Op::SiToFp:
-    case tir::Op::FpExt:
-    case tir::Op::FpTrunc:
-    case tir::Op::Bitcast:
-      return compileCast(I, V);
-    case tir::Op::Select:
-      return compileSelect(I, V);
-    case tir::Op::Load:
-      return compileLoad(I, V);
-    case tir::Op::Store:
-      return compileStore(I, V);
-    case tir::Op::PtrAdd:
-      return compilePtrAdd(I, V);
-    case tir::Op::Call: {
-      const tir::Function &F = this->A.func();
-      std::span<const tir::ValRef> Args{F.OperandPool.data() + V.OpBegin,
-                                        V.NumOps};
-      if (V.Ty != tir::Type::Void) {
-        tir::ValRef Res = I;
-        this->genCall(this->funcSym(static_cast<u32>(V.Aux)), Args, &Res);
-      } else {
-        this->genCall(this->funcSym(static_cast<u32>(V.Aux)), Args, nullptr);
-      }
-      return true;
-    }
-    case tir::Op::Ret: {
-      if (V.NumOps) {
-        tir::ValRef RV = this->A.func().operand(V, 0);
-        this->emitReturn(&RV);
-      } else {
-        this->emitReturn(nullptr);
-      }
-      return true;
-    }
-    case tir::Op::Br:
-      this->generateBranch(this->A.func().Blocks[V.Block].Succs[0]);
-      return true;
-    case tir::Op::CondBr:
-      return compileCondBr(I, V);
-    case tir::Op::Unreachable:
-      E.brk(0);
-      return true;
-    default:
-      return false; // unsupported
-    }
-  }
-
 private:
-  const tir::Function &fn() const { return this->A.func(); }
+  friend Lowering;
 
   /// Integer operand size for the W/X form selection: sub-32-bit
   /// operations run in the 32-bit form (high bits are don't-care, exactly
@@ -255,37 +98,12 @@ private:
     TPDE_UNREACHABLE("bad icmp predicate");
   }
 
-  /// Predicate with swapped operands (a < b == b > a).
-  static tir::ICmp swapICmp(tir::ICmp P) {
-    using tir::ICmp;
-    switch (P) {
-    case ICmp::Eq:
-    case ICmp::Ne:
-      return P;
-    case ICmp::Ult:
-      return ICmp::Ugt;
-    case ICmp::Ule:
-      return ICmp::Uge;
-    case ICmp::Ugt:
-      return ICmp::Ult;
-    case ICmp::Uge:
-      return ICmp::Ule;
-    case ICmp::Slt:
-      return ICmp::Sgt;
-    case ICmp::Sle:
-      return ICmp::Sge;
-    case ICmp::Sgt:
-      return ICmp::Slt;
-    case ICmp::Sge:
-      return ICmp::Sle;
-    }
-    TPDE_UNREACHABLE("bad icmp predicate");
-  }
 
-  static bool signedPred(tir::ICmp P) {
-    return P == tir::ICmp::Slt || P == tir::ICmp::Sle ||
-           P == tir::ICmp::Sgt || P == tir::ICmp::Sge;
-  }
+  void emitSetCC(a64::Cond CC, core::Reg R) { E.cset(a64::ar(R), CC); }
+  void emitTestBit0(core::Reg R) { E.tstRI(4, a64::ar(R), 1); }
+  void emitJcc(a64::Cond CC, asmx::Label L) { E.bcondLabel(CC, L); }
+  void emitTrap() { E.brk(0); }
+
 
   /// Immediate-operand fold: on A64 every integer constant is usable —
   /// add/sub/cmp/logical immediates encode directly and everything else
@@ -299,12 +117,23 @@ private:
     return true;
   }
 
-  /// Zero/sign-extends the sub-32-bit value in \p Src into \p Dst.
-  void extendNarrow(u32 W, bool Signed, a64::AsmReg Dst, a64::AsmReg Src) {
-    if (W == 2)
-      Signed ? E.sxth(Dst, Src) : E.uxth(Dst, Src);
-    else
+  /// Zero/sign-extends the \p W-byte value in \p Src into \p Dst (a
+  /// plain copy for W = 8).
+  void extend(u32 W, bool Signed, a64::AsmReg Dst, a64::AsmReg Src) {
+    switch (W) {
+    case 1:
       Signed ? E.sxtb(Dst, Src) : E.uxtb(Dst, Src);
+      return;
+    case 2:
+      Signed ? E.sxth(Dst, Src) : E.uxth(Dst, Src);
+      return;
+    case 4:
+      Signed ? E.sxtw(Dst, Src) : E.uxtw(Dst, Src); // uxtw: a 32-bit move
+      return;
+    default:
+      E.movRR(8, Dst, Src);
+      return;
+    }
   }
 
   // --- Integer ALU (add/sub/and/or/xor) -----------------------------------
@@ -338,55 +167,37 @@ private:
     return true;
   }
 
+  /// The logical instruction of an and/or/xor.
+  static a64::LogicOp logicOp(tir::Op Op) {
+    return Op == tir::Op::And  ? a64::LogicOp::And
+           : Op == tir::Op::Or ? a64::LogicOp::Orr
+                               : a64::LogicOp::Eor;
+  }
+
   void emitAluImm(tir::Op Op, u8 Sz, a64::AsmReg D, a64::AsmReg S, i64 Imm) {
-    // Negation happens in the unsigned domain: Imm may be INT64_MIN,
-    // whose signed negation is UB (its unsigned negation is itself, and
-    // sub-by-0x8000000000000000 == add-by-it, so the result is right).
-    u64 NegImm = 0 - static_cast<u64>(Imm);
-    switch (Op) {
-    case tir::Op::Add:
-      Imm >= 0 ? E.addRI(Sz, D, S, static_cast<u64>(Imm))
-               : E.subRI(Sz, D, S, NegImm);
+    if (Op != tir::Op::Add && Op != tir::Op::Sub) {
+      E.logicRI(logicOp(Op), Sz, D, S, static_cast<u64>(Imm));
       return;
-    case tir::Op::Sub:
-      Imm >= 0 ? E.subRI(Sz, D, S, static_cast<u64>(Imm))
-               : E.addRI(Sz, D, S, NegImm);
-      return;
-    case tir::Op::And:
-      E.logicRI(a64::LogicOp::And, Sz, D, S, static_cast<u64>(Imm));
-      return;
-    case tir::Op::Or:
-      E.logicRI(a64::LogicOp::Orr, Sz, D, S, static_cast<u64>(Imm));
-      return;
-    case tir::Op::Xor:
-      E.logicRI(a64::LogicOp::Eor, Sz, D, S, static_cast<u64>(Imm));
-      return;
-    default:
-      TPDE_UNREACHABLE("not an ALU op");
     }
+    // A negative immediate flips add and sub. Negation happens in the
+    // unsigned domain: Imm may be INT64_MIN, whose signed negation is UB
+    // (its unsigned negation is itself, and sub-by-0x8000000000000000 ==
+    // add-by-it, so the result is right).
+    u64 Mag = Imm >= 0 ? static_cast<u64>(Imm) : 0 - static_cast<u64>(Imm);
+    if ((Op == tir::Op::Add) == (Imm >= 0))
+      E.addRI(Sz, D, S, Mag);
+    else
+      E.subRI(Sz, D, S, Mag);
   }
 
   void emitAluReg(tir::Op Op, u8 Sz, a64::AsmReg D, a64::AsmReg L,
                   a64::AsmReg R) {
-    switch (Op) {
-    case tir::Op::Add:
+    if (Op == tir::Op::Add)
       E.addRRR(Sz, D, L, R);
-      return;
-    case tir::Op::Sub:
+    else if (Op == tir::Op::Sub)
       E.subRRR(Sz, D, L, R);
-      return;
-    case tir::Op::And:
-      E.logicRRR(a64::LogicOp::And, Sz, D, L, R);
-      return;
-    case tir::Op::Or:
-      E.logicRRR(a64::LogicOp::Orr, Sz, D, L, R);
-      return;
-    case tir::Op::Xor:
-      E.logicRRR(a64::LogicOp::Eor, Sz, D, L, R);
-      return;
-    default:
-      TPDE_UNREACHABLE("not an ALU op");
-    }
+    else
+      E.logicRRR(logicOp(Op), Sz, D, L, R);
   }
 
   bool compileI128Alu(tir::ValRef I, const tir::Value &V) {
@@ -397,31 +208,18 @@ private:
     core::Reg RR0 = R0.asReg(), RR1 = R1.asReg();
     VPR Res0 = this->resultRef(I, 0), Res1 = this->resultRef(I, 1);
     core::Reg D0 = Res0.allocReg(), D1 = Res1.allocReg();
-    switch (V.Opcode) {
-    case tir::Op::Add:
+    if (V.Opcode == tir::Op::Add) {
       // Low and high stay adjacent for the carry; register allocation
       // between them emits at most flag-preserving loads/stores.
       E.addRRR(8, a64::ar(D0), a64::ar(RL0), a64::ar(RR0), /*SetFlags=*/true);
       E.adcsRRR(8, a64::ar(D1), a64::ar(RL1), a64::ar(RR1));
-      break;
-    case tir::Op::Sub:
+    } else if (V.Opcode == tir::Op::Sub) {
       E.subRRR(8, a64::ar(D0), a64::ar(RL0), a64::ar(RR0), /*SetFlags=*/true);
       E.sbcsRRR(8, a64::ar(D1), a64::ar(RL1), a64::ar(RR1));
-      break;
-    case tir::Op::And:
-      E.logicRRR(a64::LogicOp::And, 8, a64::ar(D0), a64::ar(RL0), a64::ar(RR0));
-      E.logicRRR(a64::LogicOp::And, 8, a64::ar(D1), a64::ar(RL1), a64::ar(RR1));
-      break;
-    case tir::Op::Or:
-      E.logicRRR(a64::LogicOp::Orr, 8, a64::ar(D0), a64::ar(RL0), a64::ar(RR0));
-      E.logicRRR(a64::LogicOp::Orr, 8, a64::ar(D1), a64::ar(RL1), a64::ar(RR1));
-      break;
-    case tir::Op::Xor:
-      E.logicRRR(a64::LogicOp::Eor, 8, a64::ar(D0), a64::ar(RL0), a64::ar(RR0));
-      E.logicRRR(a64::LogicOp::Eor, 8, a64::ar(D1), a64::ar(RL1), a64::ar(RR1));
-      break;
-    default:
-      return false;
+    } else {
+      a64::LogicOp Op = logicOp(V.Opcode);
+      E.logicRRR(Op, 8, a64::ar(D0), a64::ar(RL0), a64::ar(RR0));
+      E.logicRRR(Op, 8, a64::ar(D1), a64::ar(RL1), a64::ar(RR1));
     }
     Res0.setModified();
     Res1.setModified();
@@ -469,8 +267,6 @@ private:
   // --- Division / remainder ----------------------------------------------
 
   bool compileDivRem(tir::ValRef I, const tir::Value &V) {
-    if (V.Ty == tir::Type::I128)
-      return false; // excluded from the supported subset
     u32 W = tir::typeSize(V.Ty);
     u8 Sz = opSz(W);
     bool Signed = V.Opcode == tir::Op::SDiv || V.Opcode == tir::Op::SRem;
@@ -484,8 +280,8 @@ private:
     Scratch NumW(this), DenW(this);
     if (W < 4) {
       core::Reg TN = NumW.alloc(0), TD = DenW.alloc(0);
-      extendNarrow(W, Signed, a64::ar(TN), NumR);
-      extendNarrow(W, Signed, a64::ar(TD), DenR);
+      extend(W, Signed, a64::ar(TN), NumR);
+      extend(W, Signed, a64::ar(TD), DenR);
       NumR = a64::ar(TN);
       DenR = a64::ar(TD);
     }
@@ -508,22 +304,18 @@ private:
 
   // --- Shifts ---------------------------------------------------------------
 
-  bool compileShift(tir::ValRef I, const tir::Value &V) {
+  /// \p Amt is a constant amount already reduced by \p Mask; a dynamic
+  /// amount of a sub-32-bit shift is reduced into X17, as the variable
+  /// shifts take it modulo the 32-bit register width.
+  bool compileShift(tir::ValRef I, const tir::Value &V, bool ConstAmt, u8 Amt,
+                    u8 Mask) {
     u32 W = tir::typeSize(V.Ty);
     tir::ValRef LV = fn().operand(V, 0), RV = fn().operand(V, 1);
-    const tir::Value &RVal = this->A.val(RV);
-    bool ConstAmt = RVal.Kind == tir::ValKind::ConstInt;
-    if (V.Ty == tir::Type::I128) {
-      if (!ConstAmt)
-        return false; // dynamic i128 shifts are not in the subset
-      return compileI128ShiftConst(I, V, static_cast<u8>(RVal.Aux & 127));
-    }
     u8 Sz = opSz(W);
     a64::ShiftOp SOp = V.Opcode == tir::Op::Shl    ? a64::ShiftOp::Lsl
                        : V.Opcode == tir::Op::LShr ? a64::ShiftOp::Lsr
                                                    : a64::ShiftOp::Asr;
     bool Right = V.Opcode != tir::Op::Shl;
-    u8 Amt = ConstAmt ? static_cast<u8>(RVal.Aux & (8 * W - 1)) : 0;
 
     VPR AmtRef = this->valRef(RV, 0); // consumed either way
     core::Reg AmtR;
@@ -536,16 +328,22 @@ private:
     Scratch Ext(this);
     if (W < 4 && Right) {
       core::Reg T = Ext.alloc(0);
-      extendNarrow(W, V.Opcode == tir::Op::AShr, a64::ar(T), S);
+      extend(W, V.Opcode == tir::Op::AShr, a64::ar(T), S);
       S = a64::ar(T);
     }
     VPR Res = this->resultRef(I, 0);
     core::Reg D = Res.allocReg();
-    if (ConstAmt)
+    if (ConstAmt) {
       Amt ? E.shiftRI(SOp, Sz, a64::ar(D), S, Amt)
           : E.movRR(Sz, a64::ar(D), S);
-    else
-      E.shiftRRR(SOp, Sz, a64::ar(D), S, a64::ar(AmtR));
+    } else {
+      a64::AsmReg AR = a64::ar(AmtR);
+      if (W < 4) {
+        E.logicRI(a64::LogicOp::And, 4, a64::X17, AR, Mask);
+        AR = a64::X17;
+      }
+      E.shiftRRR(SOp, Sz, a64::ar(D), S, AR);
+    }
     Res.setModified();
     return true;
   }
@@ -595,18 +393,13 @@ private:
     Res1.setModified();
     return true;
   }
-
   // --- Comparisons -----------------------------------------------------------
 
-  /// Emits the flag-setting compare for an integer comparison and returns
-  /// the condition code. Shared by the cset path and the fused
-  /// compare-branch path.
-  a64::Cond emitICmpFlags(const tir::Value &CmpV) {
-    tir::ValRef LV = fn().operand(CmpV, 0), RV = fn().operand(CmpV, 1);
-    tir::ICmp P = static_cast<tir::ICmp>(CmpV.Aux);
-    tir::Type OpTy = this->A.val(LV).Ty;
-    if (OpTy == tir::Type::I128)
-      return emitI128CmpFlags(CmpV);
+  /// Emits the flag-setting compare of a non-i128 integer comparison and
+  /// returns the predicate the flags answer (swapped if the constant
+  /// operand had to go right).
+  tir::ICmp emitIntCmpFlags(tir::ValRef LV, tir::ValRef RV, tir::ICmp P,
+                            tir::Type OpTy) {
     u32 W = tir::typeSize(OpTy);
     if (W < 4) {
       // A64 has no 8/16-bit compare: extend both operands (by the
@@ -615,10 +408,10 @@ private:
       core::Reg L = Lhs.asReg(), R = Rhs.asReg();
       Scratch TL(this), TR(this);
       core::Reg EL = TL.alloc(0), ER = TR.alloc(0);
-      extendNarrow(W, signedPred(P), a64::ar(EL), a64::ar(L));
-      extendNarrow(W, signedPred(P), a64::ar(ER), a64::ar(R));
+      extend(W, signedPred(P), a64::ar(EL), a64::ar(L));
+      extend(W, signedPred(P), a64::ar(ER), a64::ar(R));
       E.cmpRR(4, a64::ar(EL), a64::ar(ER));
-      return icmpCond(P);
+      return P;
     }
     u8 Sz = opSz(W);
     i64 Imm;
@@ -626,80 +419,41 @@ private:
       VPR RhsConsume = this->valRef(RV, 0);
       VPR Lhs = this->valRef(LV, 0);
       E.cmpRI(Sz, a64::ar(Lhs.asReg()), static_cast<u64>(Imm));
-      return icmpCond(P);
+      return P;
     }
     if (foldableImm(LV, W, &Imm)) {
       VPR LhsConsume = this->valRef(LV, 0);
       VPR Rhs = this->valRef(RV, 0);
       E.cmpRI(Sz, a64::ar(Rhs.asReg()), static_cast<u64>(Imm));
-      return icmpCond(swapICmp(P));
+      return swapICmp(P);
     }
     VPR Lhs = this->valRef(LV, 0), Rhs = this->valRef(RV, 0);
     core::Reg L = Lhs.asReg();
     E.cmpRR(Sz, a64::ar(L), a64::ar(Rhs.asReg()));
-    return icmpCond(P);
+    return P;
   }
 
-  a64::Cond emitI128CmpFlags(const tir::Value &CmpV) {
-    tir::ValRef LV = fn().operand(CmpV, 0), RV = fn().operand(CmpV, 1);
-    tir::ICmp P = static_cast<tir::ICmp>(CmpV.Aux);
-    if (P == tir::ICmp::Eq || P == tir::ICmp::Ne) {
-      VPR L0 = this->valRef(LV, 0), L1 = this->valRef(LV, 1);
-      VPR R0 = this->valRef(RV, 0), R1 = this->valRef(RV, 1);
-      core::Reg RL0 = L0.asReg(), RL1 = L1.asReg();
-      core::Reg RR0 = R0.asReg(), RR1 = R1.asReg();
-      Scratch T0(this), T1(this);
-      core::Reg A = T0.alloc(0), B = T1.alloc(0);
-      E.logicRRR(a64::LogicOp::Eor, 8, a64::ar(A), a64::ar(RL0), a64::ar(RR0));
-      E.logicRRR(a64::LogicOp::Eor, 8, a64::ar(B), a64::ar(RL1), a64::ar(RR1));
-      E.logicRRR(a64::LogicOp::Orr, 8, a64::ar(A), a64::ar(A), a64::ar(B));
-      E.cmpRI(8, a64::ar(A), 0);
-      return P == tir::ICmp::Eq ? a64::Cond::EQ : a64::Cond::NE;
-    }
-    // Relational: reduce to {ult, uge, slt, sge} by swapping operands,
-    // then compute flags with a SUBS/SBCS borrow chain.
-    bool Swap = P == tir::ICmp::Ugt || P == tir::ICmp::Ule ||
-                P == tir::ICmp::Sgt || P == tir::ICmp::Sle;
-    tir::ValRef A = Swap ? RV : LV, B = Swap ? LV : RV;
-    tir::ICmp Q = Swap ? swapICmp(P) : P;
+  void emitI128EqFlags(tir::ValRef LV, tir::ValRef RV) {
+    VPR L0 = this->valRef(LV, 0), L1 = this->valRef(LV, 1);
+    VPR R0 = this->valRef(RV, 0), R1 = this->valRef(RV, 1);
+    core::Reg RL0 = L0.asReg(), RL1 = L1.asReg();
+    core::Reg RR0 = R0.asReg(), RR1 = R1.asReg();
+    Scratch T0(this), T1(this);
+    core::Reg A = T0.alloc(0), B = T1.alloc(0);
+    E.logicRRR(a64::LogicOp::Eor, 8, a64::ar(A), a64::ar(RL0), a64::ar(RR0));
+    E.logicRRR(a64::LogicOp::Eor, 8, a64::ar(B), a64::ar(RL1), a64::ar(RR1));
+    E.logicRRR(a64::LogicOp::Orr, 8, a64::ar(A), a64::ar(A), a64::ar(B));
+    E.cmpRI(8, a64::ar(A), 0);
+  }
+
+  /// The flags of the 128-bit a - b via a SUBS/SBCS borrow chain.
+  void emitI128RelFlags(tir::ValRef A, tir::ValRef B) {
     VPR A0 = this->valRef(A, 0), A1 = this->valRef(A, 1);
     VPR B0 = this->valRef(B, 0), B1 = this->valRef(B, 1);
     core::Reg RA0 = A0.asReg(), RA1 = A1.asReg();
     core::Reg RB0 = B0.asReg(), RB1 = B1.asReg();
     E.cmpRR(8, a64::ar(RA0), a64::ar(RB0));
     E.sbcsRRR(8, a64::XZR, a64::ar(RA1), a64::ar(RB1));
-    switch (Q) {
-    case tir::ICmp::Ult:
-      return a64::Cond::LO;
-    case tir::ICmp::Uge:
-      return a64::Cond::HS;
-    case tir::ICmp::Slt:
-      return a64::Cond::LT;
-    case tir::ICmp::Sge:
-      return a64::Cond::GE;
-    default:
-      TPDE_UNREACHABLE("unnormalized i128 predicate");
-    }
-  }
-
-  bool compileICmp(tir::ValRef I, const tir::Value &V) {
-    // Compare-branch fusion (§5.1.2): if the single user is the condbr
-    // immediately following, defer to the branch.
-    tir::ValRef Nxt = this->A.nextInst(I);
-    if (!DisableFusion && Nxt != tir::InvalidRef &&
-        this->analyzer().liveness(I).RefCount == 1) {
-      const tir::Value &NV = this->A.val(Nxt);
-      if (NV.Opcode == tir::Op::CondBr && fn().operand(NV, 0) == I) {
-        Fused[I] = 1;
-        return true;
-      }
-    }
-    a64::Cond CC = emitICmpFlags(V);
-    VPR Res = this->resultRef(I, 0);
-    core::Reg D = Res.allocReg();
-    E.cset(a64::ar(D), CC);
-    Res.setModified();
-    return true;
   }
 
   bool compileFCmp(tir::ValRef I, const tir::Value &V) {
@@ -788,145 +542,106 @@ private:
 
   // --- Casts -----------------------------------------------------------------
 
-  bool compileCast(tir::ValRef I, const tir::Value &V) {
+  bool compileExt(tir::ValRef I, const tir::Value &V) {
     tir::ValRef SV = fn().operand(V, 0);
-    tir::Type SrcTy = this->A.val(SV).Ty;
-    u32 SrcW = tir::typeSize(SrcTy), DstW = tir::typeSize(V.Ty);
-    switch (V.Opcode) {
-    case tir::Op::Zext: {
-      VPR Src = this->valRef(SV, 0);
-      core::Reg S = Src.asReg();
-      VPR Res0 = this->resultRef(I, 0);
-      core::Reg D0 = Res0.allocReg();
-      emitZext(SrcW, a64::ar(D0), a64::ar(S));
-      Res0.setModified();
-      if (V.Ty == tir::Type::I128) {
-        VPR Res1 = this->resultRef(I, 1);
-        E.movRI(a64::ar(Res1.allocReg()), 0);
-        Res1.setModified();
-      }
-      return true;
-    }
-    case tir::Op::Sext: {
-      VPR Src = this->valRef(SV, 0);
-      core::Reg S = Src.asReg();
-      VPR Res0 = this->resultRef(I, 0);
-      core::Reg D0 = Res0.allocReg();
-      switch (SrcW) {
-      case 1:
-        E.sxtb(a64::ar(D0), a64::ar(S));
-        break;
-      case 2:
-        E.sxth(a64::ar(D0), a64::ar(S));
-        break;
-      case 4:
-        E.sxtw(a64::ar(D0), a64::ar(S));
-        break;
-      default:
-        E.movRR(8, a64::ar(D0), a64::ar(S));
-        break;
-      }
-      Res0.setModified();
-      if (V.Ty == tir::Type::I128) {
-        VPR Res1 = this->resultRef(I, 1);
-        core::Reg D1 = Res1.allocReg();
+    bool Signed = V.Opcode == tir::Op::Sext;
+    VPR Src = this->valRef(SV, 0);
+    core::Reg S = Src.asReg();
+    VPR Res0 = this->resultRef(I, 0);
+    core::Reg D0 = Res0.allocReg();
+    extend(tir::typeSize(this->A.val(SV).Ty), Signed, a64::ar(D0), a64::ar(S));
+    Res0.setModified();
+    if (V.Ty == tir::Type::I128) {
+      VPR Res1 = this->resultRef(I, 1);
+      core::Reg D1 = Res1.allocReg();
+      if (Signed)
         E.shiftRI(a64::ShiftOp::Asr, 8, a64::ar(D1), a64::ar(D0), 63);
-        Res1.setModified();
-      }
-      return true;
-    }
-    case tir::Op::Trunc: {
-      if (SrcTy == tir::Type::I128) {
-        VPR HiConsume = this->valRef(SV, 1);
-        (void)HiConsume;
-      }
-      VPR Src = this->valRef(SV, 0);
-      core::Reg S = Src.asReg();
-      VPR Res = this->resultRef(I, 0);
-      core::Reg D = Res.allocReg();
-      if (V.Ty == tir::Type::I1)
-        E.logicRI(a64::LogicOp::And, 4, a64::ar(D), a64::ar(S), 1);
       else
-        E.movRR(8, a64::ar(D), a64::ar(S));
-      Res.setModified();
-      return true;
+        E.movRI(a64::ar(D1), 0);
+      Res1.setModified();
     }
-    case tir::Op::FpExt:
-    case tir::Op::FpTrunc: {
-      VPR Src = this->valRef(SV, 0);
-      core::Reg S = Src.asReg();
-      VPR Res = this->resultRef(I, 0);
-      core::Reg D = Res.allocReg();
-      E.fpCvt(V.Opcode == tir::Op::FpExt ? 4 : 8, a64::ar(D), a64::ar(S));
-      Res.setModified();
-      return true;
-    }
-    case tir::Op::FpToSi: {
-      VPR Src = this->valRef(SV, 0);
-      core::Reg S = Src.asReg();
-      VPR Res = this->resultRef(I, 0);
-      core::Reg D = Res.allocReg();
-      E.cvtFpToSi(SrcW == 4 ? 4 : 8, DstW == 8 ? 8 : 4, a64::ar(D),
-                  a64::ar(S));
-      Res.setModified();
-      return true;
-    }
-    case tir::Op::SiToFp: {
-      VPR Src = this->valRef(SV, 0);
-      core::Reg S = Src.asReg();
-      VPR Res = this->resultRef(I, 0);
-      core::Reg D = Res.allocReg();
-      u8 FpSz = V.Ty == tir::Type::F32 ? 4 : 8;
-      if (SrcW < 4) {
-        Scratch T(this);
-        core::Reg TR = T.alloc(0);
-        extendNarrow(SrcW, /*Signed=*/true, a64::ar(TR), a64::ar(S));
-        E.cvtSiToFp(8, FpSz, a64::ar(D), a64::ar(TR));
-      } else {
-        E.cvtSiToFp(static_cast<u8>(SrcW), FpSz, a64::ar(D), a64::ar(S));
-      }
-      Res.setModified();
-      return true;
-    }
-    case tir::Op::Bitcast: {
-      bool SrcFp = tir::isFloatType(SrcTy), DstFp = tir::isFloatType(V.Ty);
-      VPR Src = this->valRef(SV, 0);
-      core::Reg S = Src.asReg();
-      VPR Res = this->resultRef(I, 0);
-      core::Reg D = Res.allocReg();
-      if (SrcFp == DstFp) {
-        if (SrcFp)
-          E.fpMovRR(8, a64::ar(D), a64::ar(S));
-        else
-          E.movRR(8, a64::ar(D), a64::ar(S));
-      } else if (DstFp) {
-        E.fmovToFp(static_cast<u8>(DstW), a64::ar(D), a64::ar(S));
-      } else {
-        E.fmovFromFp(static_cast<u8>(DstW), a64::ar(D), a64::ar(S));
-      }
-      Res.setModified();
-      return true;
-    }
-    default:
-      return false;
-    }
+    return true;
   }
 
-  void emitZext(u32 SrcW, a64::AsmReg D, a64::AsmReg S) {
-    switch (SrcW) {
-    case 1:
-      E.uxtb(D, S);
-      return;
-    case 2:
-      E.uxth(D, S);
-      return;
-    case 4:
-      E.uxtw(D, S); // 32-bit move zero-extends
-      return;
-    default:
-      E.movRR(8, D, S);
-      return;
+  bool compileTrunc(tir::ValRef I, const tir::Value &V) {
+    tir::ValRef SV = fn().operand(V, 0);
+    if (this->A.val(SV).Ty == tir::Type::I128)
+      this->valRef(SV, 1); // consume the dropped high part
+    VPR Src = this->valRef(SV, 0);
+    core::Reg S = Src.asReg();
+    VPR Res = this->resultRef(I, 0);
+    core::Reg D = Res.allocReg();
+    if (V.Ty == tir::Type::I1)
+      E.logicRI(a64::LogicOp::And, 4, a64::ar(D), a64::ar(S), 1);
+    else
+      E.movRR(8, a64::ar(D), a64::ar(S));
+    Res.setModified();
+    return true;
+  }
+
+  bool compileFpConv(tir::ValRef I, const tir::Value &V) {
+    VPR Src = this->valRef(fn().operand(V, 0), 0);
+    core::Reg S = Src.asReg();
+    VPR Res = this->resultRef(I, 0);
+    core::Reg D = Res.allocReg();
+    E.fpCvt(V.Opcode == tir::Op::FpExt ? 4 : 8, a64::ar(D), a64::ar(S));
+    Res.setModified();
+    return true;
+  }
+
+  bool compileFpToSi(tir::ValRef I, const tir::Value &V) {
+    tir::ValRef SV = fn().operand(V, 0);
+    u32 SrcW = tir::typeSize(this->A.val(SV).Ty), DstW = tir::typeSize(V.Ty);
+    VPR Src = this->valRef(SV, 0);
+    core::Reg S = Src.asReg();
+    VPR Res = this->resultRef(I, 0);
+    core::Reg D = Res.allocReg();
+    E.cvtFpToSi(SrcW == 4 ? 4 : 8, DstW == 8 ? 8 : 4, a64::ar(D), a64::ar(S));
+    Res.setModified();
+    return true;
+  }
+
+  bool compileSiToFp(tir::ValRef I, const tir::Value &V) {
+    tir::ValRef SV = fn().operand(V, 0);
+    u32 SrcW = tir::typeSize(this->A.val(SV).Ty);
+    VPR Src = this->valRef(SV, 0);
+    core::Reg S = Src.asReg();
+    VPR Res = this->resultRef(I, 0);
+    core::Reg D = Res.allocReg();
+    u8 FpSz = V.Ty == tir::Type::F32 ? 4 : 8;
+    if (SrcW < 4) {
+      Scratch T(this);
+      core::Reg TR = T.alloc(0);
+      extend(SrcW, /*Signed=*/true, a64::ar(TR), a64::ar(S));
+      E.cvtSiToFp(8, FpSz, a64::ar(D), a64::ar(TR));
+    } else {
+      E.cvtSiToFp(static_cast<u8>(SrcW), FpSz, a64::ar(D), a64::ar(S));
     }
+    Res.setModified();
+    return true;
+  }
+
+  bool compileBitcast(tir::ValRef I, const tir::Value &V) {
+    tir::ValRef SV = fn().operand(V, 0);
+    bool SrcFp = tir::isFloatType(this->A.val(SV).Ty);
+    bool DstFp = tir::isFloatType(V.Ty);
+    VPR Src = this->valRef(SV, 0);
+    core::Reg S = Src.asReg();
+    VPR Res = this->resultRef(I, 0);
+    core::Reg D = Res.allocReg();
+    u8 DstW = static_cast<u8>(tir::typeSize(V.Ty));
+    if (SrcFp == DstFp) {
+      if (SrcFp)
+        E.fpMovRR(8, a64::ar(D), a64::ar(S));
+      else
+        E.movRR(8, a64::ar(D), a64::ar(S));
+    } else if (DstFp) {
+      E.fmovToFp(DstW, a64::ar(D), a64::ar(S));
+    } else {
+      E.fmovFromFp(DstW, a64::ar(D), a64::ar(S));
+    }
+    Res.setModified();
+    return true;
   }
 
   // --- Select ----------------------------------------------------------------
@@ -988,13 +703,13 @@ private:
   Addr computeAddr(tir::ValRef Ptr, u8 AccSizeLog2) {
     Addr Out;
     const tir::Value &PV = this->A.val(Ptr);
-    if (Fused[Ptr]) {
+    if (this->fused(Ptr)) {
       // Fused PtrAdd: base + disp, or base + (index << log2(size)) (§4.2).
       tir::ValRef BaseV = fn().operand(PV, 0);
       i64 Disp = static_cast<i64>(PV.Aux2);
       const tir::Value &BV = this->A.val(BaseV);
       if (PV.NumOps > 1) {
-        // tryFusePtrAdd guaranteed: scale is 1 or the access size, no
+        // ptrAddFoldable guaranteed: scale is 1 or the access size, no
         // displacement, base is not a stack variable.
         Out.BaseRef = this->valRef(BaseV, 0);
         Out.IndexRef = this->valRef(fn().operand(PV, 1), 0);
@@ -1032,39 +747,19 @@ private:
     return tir::typeSize(Ty);
   }
 
-  /// Marks a PtrAdd as fused if its single use is the immediately
-  /// following load/store in the same block and the computation fits an
-  /// A64 addressing mode (base+disp, or base+index scaled by the access
-  /// size with zero displacement).
-  bool tryFusePtrAdd(tir::ValRef I, const tir::Value &V) {
-    if (DisableFusion || this->analyzer().liveness(I).RefCount != 1)
+  /// base + disp always fits; the register-offset form needs a scale of
+  /// 1 or the access size, no displacement field, and a register base.
+  bool ptrAddFoldable(const tir::Value &V, const tir::Value &Access) {
+    if (V.NumOps == 1)
+      return true;
+    u32 Acc = memAccessSize(Access);
+    if (Acc == 0 || (V.Aux != 1 && V.Aux != Acc) || V.Aux2 != 0)
       return false;
-    tir::ValRef Nxt = this->A.nextInst(I);
-    if (Nxt == tir::InvalidRef)
-      return false;
-    const tir::Value &NV = this->A.val(Nxt);
-    bool IsLoad = NV.Opcode == tir::Op::Load && fn().operand(NV, 0) == I;
-    bool IsStore = NV.Opcode == tir::Op::Store && fn().operand(NV, 1) == I &&
-                   fn().operand(NV, 0) != I;
-    if (!IsLoad && !IsStore)
-      return false;
-    if (V.NumOps > 1) {
-      // Register-offset form: scale must be 1 or the access size, and the
-      // form has no displacement field.
-      u32 Acc = memAccessSize(NV);
-      if (Acc == 0 || (V.Aux != 1 && V.Aux != Acc) || V.Aux2 != 0)
-        return false;
-      // A stack-variable base would need FP+off materialized first.
-      if (this->A.val(fn().operand(V, 0)).Kind == tir::ValKind::StackVar)
-        return false;
-    }
-    Fused[I] = 1;
-    return true;
+    // A stack-variable base would need FP+off materialized first.
+    return this->A.val(fn().operand(V, 0)).Kind != tir::ValKind::StackVar;
   }
 
   bool compilePtrAdd(tir::ValRef I, const tir::Value &V) {
-    if (tryFusePtrAdd(I, V))
-      return true;
     tir::ValRef BaseV = fn().operand(V, 0);
     i64 Disp = static_cast<i64>(V.Aux2);
     if (V.NumOps == 1) {
@@ -1157,81 +852,19 @@ private:
     return true;
   }
 
-  // --- Control flow ----------------------------------------------------------
-
-  bool compileCondBr(tir::ValRef I, const tir::Value &V) {
-    const tir::Block &B = fn().Blocks[V.Block];
-    tir::BlockRef TrueB = B.Succs[0], FalseB = B.Succs[1];
-    tir::ValRef CV = fn().operand(V, 0);
-    if (CV < Fused.size() && Fused[CV]) {
-      a64::Cond CC = emitICmpFlags(this->A.val(CV));
-      this->generateCondBranch(TrueB, FalseB,
-                               [&](asmx::Label L, bool Inv) {
-                                 E.bcondLabel(Inv ? invert(CC) : CC, L);
-                               });
-      return true;
-    }
-    {
-      VPR Cond = this->valRef(CV, 0);
-      E.tstRI(4, a64::ar(Cond.asReg()), 1);
-    }
-    this->generateCondBranch(TrueB, FalseB, [&](asmx::Label L, bool Inv) {
-      E.bcondLabel(Inv ? a64::Cond::EQ : a64::Cond::NE, L);
-    });
-    return true;
-  }
-
-  // --- Constant pool ---------------------------------------------------------
-
-  asmx::SymRef fpConstSym(u64 Bits, u8 Size) {
-    return fpPoolConstSym(this->Asm, FpPool, Bits, Size);
-  }
-
-  TirGlobalSyms GlobalSyms;
-  support::DenseMap<u64, asmx::SymRef> FpPool;
-  std::vector<u8> Fused;
 };
-
-} // namespace tpde::tpde_tir
-
-#include "tir/Verifier.h"
 
 /// Convenience entry point: compiles \p M into \p Asm with TPDE/AArch64.
 /// With \p Verify the module is validated first (tir::verifyModule) so
 /// malformed IR never reaches the emitter; \p StatusOut (optional)
 /// receives the structured diagnostic on failure.
-namespace tpde::tpde_tir {
 inline bool compileModuleA64(tir::Module &M, asmx::Assembler &Asm,
                              bool Verify = false,
                              support::CompileStatus *StatusOut = nullptr) {
-  if (StatusOut)
-    StatusOut->clear();
-  if (Verify) {
-    std::string Errors;
-    if (!tir::verifyModule(M, Errors)) {
-      if (StatusOut) {
-        StatusOut->Err = support::CompileErr::VerifyFailed;
-        StatusOut->Message = std::move(Errors);
-      }
-      return false;
-    }
-  }
-  TirAdapter Adapter(M);
-  TirCompilerA64 Compiler(Adapter, Asm);
-  bool OK = false;
-  try {
-    OK = Compiler.compile();
-  } catch (...) { // arena growth (interned names) can throw bad_alloc
-    if (StatusOut) {
-      StatusOut->Err = support::CompileErr::OutOfMemory;
-      StatusOut->Message = "allocation failed during module compile";
-    }
-    return false;
-  }
-  if (!OK && StatusOut)
-    *StatusOut = Compiler.status();
-  return OK;
+  return core::compileModuleOnce<TirAdapter, TirCompilerA64>(
+      M, Asm, Verify, tir::verifyModule, StatusOut);
 }
+
 } // namespace tpde::tpde_tir
 
 #endif // TPDE_TPDE_TIR_TIRCOMPILERA64_H

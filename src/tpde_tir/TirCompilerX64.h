@@ -2,97 +2,37 @@
 ///
 /// \file
 /// The TPDE-based back-end for TIR targeting x86-64 (the paper's §5 case
-/// study, with TIR standing in for LLVM-IR). Implements an instruction
-/// compiler per TIR opcode on top of the framework's value/register
-/// machinery, including the two fusions the paper calls out as critical
-/// (§3.4.4/§5.1.2): integer compare + conditional branch, and address
-/// computations folded into memory operands.
+/// study, with TIR standing in for LLVM-IR): the x86-64 instruction forms
+/// of every TIR opcode on top of the framework's value/register machinery.
+/// Dispatch, the fusion decisions and the entry points are shared with
+/// the AArch64 back-end (tpde_tir/TirLowering.h); this file emits a fused
+/// compare as flags consumed by a jcc, a fused PtrAdd as a base + index *
+/// scale + disp32 memory operand, and a spilled operand as a memory
+/// operand of the ALU instruction (§4.2).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TPDE_TPDE_TIR_TIRCOMPILERX64_H
 #define TPDE_TPDE_TIR_TIRCOMPILERX64_H
 
-#include "support/DenseMap.h"
-#include "tpde_tir/TirAdapter.h"
-#include "tpde_tir/TirGlobals.h"
+#include "tir/Verifier.h"
+#include "tpde_tir/TirLowering.h"
 #include "x64/CompilerX64.h"
 
 namespace tpde::tpde_tir {
 
-class TirCompilerX64 : public x64::CompilerX64<TirAdapter, TirCompilerX64> {
+class TirCompilerX64 : public TirLowering<TirCompilerX64, x64::CompilerX64> {
 public:
-  using Base = x64::CompilerX64<TirAdapter, TirCompilerX64>;
-  using VPR = Base::ValuePartRef;
-  using Scratch = Base::ScratchReg;
-  using x64::CompilerX64<TirAdapter, TirCompilerX64>::E;
-
-  TirCompilerX64(TirAdapter &A, asmx::Assembler &Asm) : Base(A, Asm) {}
-
-  /// Compiles the whole module; returns false on unsupported constructs.
-  bool compile() {
-    Fused.reserve(this->A.maxValueCount());
-    return this->compileModule();
-  }
-
-  /// Compiles only functions [Begin, End); other functions and globals
-  /// get a declaration only where referenced. Shard entry point used by
-  /// the parallel module compiler.
-  bool compileRange(u32 Begin, u32 End) {
-    Fused.reserve(this->A.maxValueCount());
-    return this->compileFunctionRange(Begin, End);
-  }
-
-  /// Emits the module-level fragment (defined globals' data) only.
-  bool compileGlobals() { return this->compileGlobalsOnly(); }
-
-  // =====================================================================
-  // Framework hooks
-  // =====================================================================
-
-  /// Per-compile module state: the constant pool and the global-symbol
-  /// cache restart with the assembler's symbol table; serial and
-  /// globals-only compiles also emit the defined globals' data.
-  void beginModule(bool EmitData) {
-    FpPool.clear();
-    GlobalSyms.prepare(this->A.module());
-    if (EmitData)
-      defineTirGlobals(this->Asm, this->A.module(), GlobalSyms,
-                       this->moduleSymEpoch());
-  }
-
-  /// On-demand global symbol (see TirGlobals.h).
-  asmx::SymRef globalSym(u32 GI) {
-    return GlobalSyms.sym(this->Asm, this->A.module(), GI,
-                          this->moduleSymEpoch());
-  }
-
-  template <typename Fn> void forEachStackVar(Fn Cb) {
-    const tir::Function &F = this->A.func();
-    for (tir::ValRef SV : F.StackVars) {
-      const tir::Value &V = F.val(SV);
-      Cb(V.Aux, static_cast<u32>(V.Aux2));
-    }
-  }
-
-  void beginFunc(asmx::SymRef Sym) {
-    Base::beginFunc(Sym);
-    Fused.assign(this->A.valueCount(), 0);
-  }
+  using Lowering = TirLowering<TirCompilerX64, x64::CompilerX64>;
+  using Lowering::Lowering;
+  using Scratch = ScratchReg;
 
   void materializeConstLike(tir::ValRef V, u8 Part, core::Reg Dst) {
     const tir::Value &Val = this->A.val(V);
     switch (Val.Kind) {
-    case tir::ValKind::ConstInt: {
-      u64 Bits = Part == 0 ? Val.Aux : Val.Aux2;
-      u32 W = tir::partSize(Val.Ty, Part);
-      if (W < 8)
-        Bits &= (u64(1) << (8 * W)) - 1;
-      if (Val.Ty == tir::Type::I1)
-        Bits &= 1;
-      E.movRI(x64::ax(Dst), Bits);
+    case tir::ValKind::ConstInt:
+      E.movRI(x64::ax(Dst), constIntBits(Val, Part));
       return;
-    }
     case tir::ValKind::ConstFP: {
       u8 Sz = Val.Ty == tir::Type::F32 ? 4 : 8;
       E.fpLoadSym(Sz, x64::ax(Dst), fpConstSym(Val.Aux, Sz));
@@ -110,99 +50,8 @@ public:
     }
   }
 
-  // =====================================================================
-  // Instruction dispatch
-  // =====================================================================
-
-  bool compileInst(tir::ValRef I) {
-    if (Fused[I])
-      return true;
-    const tir::Value &V = this->A.val(I);
-    switch (V.Opcode) {
-    case tir::Op::Add:
-    case tir::Op::Sub:
-    case tir::Op::And:
-    case tir::Op::Or:
-    case tir::Op::Xor:
-      return compileIntAlu(I, V);
-    case tir::Op::Mul:
-      return compileMul(I, V);
-    case tir::Op::UDiv:
-    case tir::Op::SDiv:
-    case tir::Op::URem:
-    case tir::Op::SRem:
-      return compileDivRem(I, V);
-    case tir::Op::Shl:
-    case tir::Op::LShr:
-    case tir::Op::AShr:
-      return compileShift(I, V);
-    case tir::Op::ICmpOp:
-      return compileICmp(I, V);
-    case tir::Op::FCmpOp:
-      return compileFCmp(I, V);
-    case tir::Op::FAdd:
-    case tir::Op::FSub:
-    case tir::Op::FMul:
-    case tir::Op::FDiv:
-      return compileFpAlu(I, V);
-    case tir::Op::Neg:
-    case tir::Op::Not:
-      return compileIntUnary(I, V);
-    case tir::Op::FNeg:
-      return compileFNeg(I, V);
-    case tir::Op::Zext:
-    case tir::Op::Sext:
-    case tir::Op::Trunc:
-    case tir::Op::FpToSi:
-    case tir::Op::SiToFp:
-    case tir::Op::FpExt:
-    case tir::Op::FpTrunc:
-    case tir::Op::Bitcast:
-      return compileCast(I, V);
-    case tir::Op::Select:
-      return compileSelect(I, V);
-    case tir::Op::Load:
-      return compileLoad(I, V);
-    case tir::Op::Store:
-      return compileStore(I, V);
-    case tir::Op::PtrAdd:
-      return compilePtrAdd(I, V);
-    case tir::Op::Call: {
-      const tir::Function &F = this->A.func();
-      std::span<const tir::ValRef> Args{F.OperandPool.data() + V.OpBegin,
-                                        V.NumOps};
-      if (V.Ty != tir::Type::Void) {
-        tir::ValRef Res = I;
-        this->genCall(this->funcSym(static_cast<u32>(V.Aux)), Args, &Res);
-      } else {
-        this->genCall(this->funcSym(static_cast<u32>(V.Aux)), Args, nullptr);
-      }
-      return true;
-    }
-    case tir::Op::Ret: {
-      if (V.NumOps) {
-        tir::ValRef RV = this->A.func().operand(V, 0);
-        this->emitReturn(&RV);
-      } else {
-        this->emitReturn(nullptr);
-      }
-      return true;
-    }
-    case tir::Op::Br:
-      this->generateBranch(this->A.func().Blocks[V.Block].Succs[0]);
-      return true;
-    case tir::Op::CondBr:
-      return compileCondBr(I, V);
-    case tir::Op::Unreachable:
-      E.ud2();
-      return true;
-    default:
-      return false; // unsupported
-    }
-  }
-
 private:
-  const tir::Function &fn() const { return this->A.func(); }
+  friend Lowering;
 
   static u8 opSz(u32 W) { return W < 4 ? 4 : static_cast<u8>(W); }
 
@@ -234,32 +83,10 @@ private:
     TPDE_UNREACHABLE("bad icmp predicate");
   }
 
-  /// Predicate with swapped operands (a < b == b > a).
-  static tir::ICmp swapICmp(tir::ICmp P) {
-    using tir::ICmp;
-    switch (P) {
-    case ICmp::Eq:
-    case ICmp::Ne:
-      return P;
-    case ICmp::Ult:
-      return ICmp::Ugt;
-    case ICmp::Ule:
-      return ICmp::Uge;
-    case ICmp::Ugt:
-      return ICmp::Ult;
-    case ICmp::Uge:
-      return ICmp::Ule;
-    case ICmp::Slt:
-      return ICmp::Sgt;
-    case ICmp::Sle:
-      return ICmp::Sge;
-    case ICmp::Sgt:
-      return ICmp::Slt;
-    case ICmp::Sge:
-      return ICmp::Sle;
-    }
-    TPDE_UNREACHABLE("bad icmp predicate");
-  }
+  void emitSetCC(x64::Cond CC, core::Reg R) { E.setcc(CC, x64::ax(R)); }
+  void emitTestBit0(core::Reg R) { E.testRI(1, x64::ax(R), 1); }
+  void emitJcc(x64::Cond CC, asmx::Label L) { E.jccLabel(CC, L); }
+  void emitTrap() { E.ud2(); }
 
   /// Can the operand be folded as a 32-bit immediate for width \p W ops?
   bool foldableImm(tir::ValRef V, u32 W, i64 *Out) {
@@ -275,16 +102,20 @@ private:
 
   // --- Integer ALU (add/sub/and/or/xor) -----------------------------------
 
+  static x64::AluOp aluOp(tir::Op Op) {
+    return Op == tir::Op::Add   ? x64::AluOp::Add
+           : Op == tir::Op::Sub ? x64::AluOp::Sub
+           : Op == tir::Op::And ? x64::AluOp::And
+           : Op == tir::Op::Or  ? x64::AluOp::Or
+                                : x64::AluOp::Xor;
+  }
+
   bool compileIntAlu(tir::ValRef I, const tir::Value &V) {
     if (V.Ty == tir::Type::I128)
       return compileI128Alu(I, V);
     u32 W = tir::typeSize(V.Ty);
     u8 Sz = opSz(W);
-    x64::AluOp Op = V.Opcode == tir::Op::Add   ? x64::AluOp::Add
-                    : V.Opcode == tir::Op::Sub ? x64::AluOp::Sub
-                    : V.Opcode == tir::Op::And ? x64::AluOp::And
-                    : V.Opcode == tir::Op::Or  ? x64::AluOp::Or
-                                               : x64::AluOp::Xor;
+    x64::AluOp Op = aluOp(V.Opcode);
     tir::ValRef LV = fn().operand(V, 0), RV = fn().operand(V, 1);
     bool Commutative = V.Opcode != tir::Op::Sub;
     i64 Imm;
@@ -318,28 +149,10 @@ private:
 
   bool compileI128Alu(tir::ValRef I, const tir::Value &V) {
     tir::ValRef LV = fn().operand(V, 0), RV = fn().operand(V, 1);
-    x64::AluOp Lo, Hi;
-    switch (V.Opcode) {
-    case tir::Op::Add:
-      Lo = x64::AluOp::Add;
-      Hi = x64::AluOp::Adc;
-      break;
-    case tir::Op::Sub:
-      Lo = x64::AluOp::Sub;
-      Hi = x64::AluOp::Sbb;
-      break;
-    case tir::Op::And:
-      Lo = Hi = x64::AluOp::And;
-      break;
-    case tir::Op::Or:
-      Lo = Hi = x64::AluOp::Or;
-      break;
-    case tir::Op::Xor:
-      Lo = Hi = x64::AluOp::Xor;
-      break;
-    default:
-      return false;
-    }
+    x64::AluOp Lo = aluOp(V.Opcode);
+    x64::AluOp Hi = Lo == x64::AluOp::Add   ? x64::AluOp::Adc
+                    : Lo == x64::AluOp::Sub ? x64::AluOp::Sbb
+                                            : Lo;
     // Low and high parts must stay adjacent for the carry flag; every
     // framework operation in between only emits flag-preserving moves.
     VPR R0 = this->valRef(RV, 0), R1 = this->valRef(RV, 1);
@@ -421,8 +234,6 @@ private:
   // --- Division / remainder ----------------------------------------------
 
   bool compileDivRem(tir::ValRef I, const tir::Value &V) {
-    if (V.Ty == tir::Type::I128)
-      return false; // excluded from the supported subset
     u32 W = tir::typeSize(V.Ty);
     u8 Sz = opSz(W);
     bool Signed = V.Opcode == tir::Op::SDiv || V.Opcode == tir::Op::SRem;
@@ -473,81 +284,48 @@ private:
 
   // --- Shifts ---------------------------------------------------------------
 
-  bool compileShift(tir::ValRef I, const tir::Value &V) {
+  /// \p Amt is a constant amount already reduced by \p Mask; a dynamic
+  /// amount is reduced in CL, which the 32-bit form of a sub-32-bit shift
+  /// would otherwise take modulo 32.
+  bool compileShift(tir::ValRef I, const tir::Value &V, bool ConstAmt, u8 Amt,
+                    u8 Mask) {
     u32 W = tir::typeSize(V.Ty);
     tir::ValRef LV = fn().operand(V, 0), RV = fn().operand(V, 1);
-    const tir::Value &RVal = this->A.val(RV);
-    bool ConstAmt = RVal.Kind == tir::ValKind::ConstInt;
-    if (V.Ty == tir::Type::I128) {
-      if (!ConstAmt)
-        return false; // dynamic i128 shifts are not in the subset
-      return compileI128ShiftConst(I, V, static_cast<u8>(RVal.Aux & 127));
-    }
-    u8 Amt = ConstAmt ? static_cast<u8>(RVal.Aux & (8 * W - 1)) : 0;
-
-    if (V.Opcode == tir::Op::Shl) {
-      if (ConstAmt) {
-        VPR AmtRef = this->valRef(RV, 0);
-        VPR Res = this->resultRefReuse(I, 0, this->valRef(LV, 0));
-        E.shiftRI(x64::ShiftOp::Shl, opSz(W), x64::ax(Res.curReg()), Amt);
-        Res.setModified();
-        return true;
-      }
-      Scratch CL(this);
+    x64::ShiftOp SOp = V.Opcode == tir::Op::Shl    ? x64::ShiftOp::Shl
+                       : V.Opcode == tir::Op::LShr ? x64::ShiftOp::Shr
+                                                   : x64::ShiftOp::Sar;
+    Scratch CL(this);
+    if (!ConstAmt)
       CL.allocSpecific(core::Reg(1)); // rcx
-      {
-        VPR AmtRef = this->valRef(RV, 0);
+    {
+      VPR AmtRef = this->valRef(RV, 0); // a constant amount is consumed
+      if (!ConstAmt)
         this->emitToReg(core::Reg(1), AmtRef);
-      }
-      VPR Res = this->resultRefReuse(I, 0, this->valRef(LV, 0));
-      E.shiftRC(x64::ShiftOp::Shl, opSz(W), x64::ax(Res.curReg()));
-      Res.setModified();
-      return true;
     }
-
+    if (!ConstAmt && W < 4)
+      E.aluRI(x64::AluOp::And, 4, x64::RCX, Mask);
+    auto Emit = [&](u8 Sz, core::Reg R) {
+      if (ConstAmt)
+        E.shiftRI(SOp, Sz, x64::ax(R), Amt);
+      else
+        E.shiftRC(SOp, Sz, x64::ax(R));
+    };
     // Right shifts of sub-32-bit values need a well-defined extension.
-    bool Arith = V.Opcode == tir::Op::AShr;
-    x64::ShiftOp SOp = Arith ? x64::ShiftOp::Sar : x64::ShiftOp::Shr;
-    if (W < 4) {
-      Scratch CL(this);
-      if (!ConstAmt) {
-        CL.allocSpecific(core::Reg(1));
-        VPR AmtRef = this->valRef(RV, 0);
-        this->emitToReg(core::Reg(1), AmtRef);
-      } else {
-        VPR AmtRef = this->valRef(RV, 0); // consume
-      }
+    if (W < 4 && V.Opcode != tir::Op::Shl) {
       VPR Src = this->valRef(LV, 0);
       core::Reg SR = Src.asReg();
       VPR Res = this->resultRef(I, 0);
       core::Reg R = Res.allocReg();
-      if (Arith)
+      if (SOp == x64::ShiftOp::Sar)
         E.movsxRR(static_cast<u8>(W), x64::ax(R), x64::ax(SR));
       else
         E.movzxRR(static_cast<u8>(W), x64::ax(R), x64::ax(SR));
-      if (ConstAmt)
-        E.shiftRI(SOp, 4, x64::ax(R), Amt);
-      else
-        E.shiftRC(SOp, 4, x64::ax(R));
+      Emit(4, R);
       Res.setModified();
       return true;
-    }
-    u8 Sz = static_cast<u8>(W);
-    if (ConstAmt) {
-      VPR AmtRef = this->valRef(RV, 0);
-      VPR Res = this->resultRefReuse(I, 0, this->valRef(LV, 0));
-      E.shiftRI(SOp, Sz, x64::ax(Res.curReg()), Amt);
-      Res.setModified();
-      return true;
-    }
-    Scratch CL(this);
-    CL.allocSpecific(core::Reg(1));
-    {
-      VPR AmtRef = this->valRef(RV, 0);
-      this->emitToReg(core::Reg(1), AmtRef);
     }
     VPR Res = this->resultRefReuse(I, 0, this->valRef(LV, 0));
-    E.shiftRC(SOp, Sz, x64::ax(Res.curReg()));
+    Emit(opSz(W), Res.curReg());
     Res.setModified();
     return true;
   }
@@ -622,15 +400,11 @@ private:
 
   // --- Comparisons -----------------------------------------------------------
 
-  /// Emits the flag-setting compare for an integer comparison and returns
-  /// the condition code. Shared by the setcc path and the fused
-  /// compare-branch path.
-  x64::Cond emitICmpFlags(const tir::Value &CmpV) {
-    tir::ValRef LV = fn().operand(CmpV, 0), RV = fn().operand(CmpV, 1);
-    tir::ICmp P = static_cast<tir::ICmp>(CmpV.Aux);
-    tir::Type OpTy = this->A.val(LV).Ty;
-    if (OpTy == tir::Type::I128)
-      return emitI128CmpFlags(CmpV);
+  /// Emits the flag-setting compare of a non-i128 integer comparison and
+  /// returns the predicate the flags answer (swapped if the constant
+  /// operand had to go right).
+  tir::ICmp emitIntCmpFlags(tir::ValRef LV, tir::ValRef RV, tir::ICmp P,
+                            tir::Type OpTy) {
     u32 W = tir::typeSize(OpTy);
     u8 Sz = static_cast<u8>(W);
     i64 Imm;
@@ -638,13 +412,13 @@ private:
       VPR RhsConsume = this->valRef(RV, 0);
       VPR Lhs = this->valRef(LV, 0);
       E.aluRI(x64::AluOp::Cmp, Sz, x64::ax(Lhs.asReg()), Imm);
-      return icmpCond(P);
+      return P;
     }
     if (foldableImm(LV, W, &Imm)) {
       VPR LhsConsume = this->valRef(LV, 0);
       VPR Rhs = this->valRef(RV, 0);
       E.aluRI(x64::AluOp::Cmp, Sz, x64::ax(Rhs.asReg()), Imm);
-      return icmpCond(swapICmp(P));
+      return swapICmp(P);
     }
     VPR Lhs = this->valRef(LV, 0);
     VPR Rhs = this->valRef(RV, 0);
@@ -655,30 +429,23 @@ private:
     } else {
       E.aluRR(x64::AluOp::Cmp, Sz, x64::ax(L), x64::ax(Rhs.asReg()));
     }
-    return icmpCond(P);
+    return P;
   }
 
-  x64::Cond emitI128CmpFlags(const tir::Value &CmpV) {
-    tir::ValRef LV = fn().operand(CmpV, 0), RV = fn().operand(CmpV, 1);
-    tir::ICmp P = static_cast<tir::ICmp>(CmpV.Aux);
-    if (P == tir::ICmp::Eq || P == tir::ICmp::Ne) {
-      VPR L0 = this->valRef(LV, 0), L1 = this->valRef(LV, 1);
-      VPR R0 = this->valRef(RV, 0), R1 = this->valRef(RV, 1);
-      Scratch T0(this), T1(this);
-      core::Reg A = T0.alloc(0), B = T1.alloc(0);
-      this->emitToReg(A, L0);
-      this->emitToReg(B, L1);
-      E.aluRR(x64::AluOp::Xor, 8, x64::ax(A), x64::ax(R0.asReg()));
-      E.aluRR(x64::AluOp::Xor, 8, x64::ax(B), x64::ax(R1.asReg()));
-      E.aluRR(x64::AluOp::Or, 8, x64::ax(A), x64::ax(B));
-      return P == tir::ICmp::Eq ? x64::Cond::E : x64::Cond::NE;
-    }
-    // Relational: reduce to {ult, uge, slt, sge} by swapping operands.
-    bool Swap = P == tir::ICmp::Ugt || P == tir::ICmp::Ule ||
-                P == tir::ICmp::Sgt || P == tir::ICmp::Sle;
-    tir::ValRef A = Swap ? RV : LV, B = Swap ? LV : RV;
-    tir::ICmp Q = Swap ? swapICmp(P) : P;
-    // cmp a0,b0; sbb t(a1), b1 -> flags hold (a < b) style results.
+  void emitI128EqFlags(tir::ValRef LV, tir::ValRef RV) {
+    VPR L0 = this->valRef(LV, 0), L1 = this->valRef(LV, 1);
+    VPR R0 = this->valRef(RV, 0), R1 = this->valRef(RV, 1);
+    Scratch T0(this), T1(this);
+    core::Reg A = T0.alloc(0), B = T1.alloc(0);
+    this->emitToReg(A, L0);
+    this->emitToReg(B, L1);
+    E.aluRR(x64::AluOp::Xor, 8, x64::ax(A), x64::ax(R0.asReg()));
+    E.aluRR(x64::AluOp::Xor, 8, x64::ax(B), x64::ax(R1.asReg()));
+    E.aluRR(x64::AluOp::Or, 8, x64::ax(A), x64::ax(B));
+  }
+
+  /// cmp a0,b0; sbb t(a1),b1: the flags of the 128-bit a - b.
+  void emitI128RelFlags(tir::ValRef A, tir::ValRef B) {
     VPR A0 = this->valRef(A, 0), A1 = this->valRef(A, 1);
     VPR B0 = this->valRef(B, 0), B1 = this->valRef(B, 1);
     Scratch T(this);
@@ -686,38 +453,6 @@ private:
     this->emitToReg(TR, A1);
     E.aluRR(x64::AluOp::Cmp, 8, x64::ax(A0.asReg()), x64::ax(B0.asReg()));
     E.aluRR(x64::AluOp::Sbb, 8, x64::ax(TR), x64::ax(B1.asReg()));
-    switch (Q) {
-    case tir::ICmp::Ult:
-      return x64::Cond::B;
-    case tir::ICmp::Uge:
-      return x64::Cond::AE;
-    case tir::ICmp::Slt:
-      return x64::Cond::L;
-    case tir::ICmp::Sge:
-      return x64::Cond::GE;
-    default:
-      TPDE_UNREACHABLE("unnormalized i128 predicate");
-    }
-  }
-
-  bool compileICmp(tir::ValRef I, const tir::Value &V) {
-    // Compare-branch fusion (§5.1.2): if the single user is the condbr
-    // immediately following, defer to the branch.
-    tir::ValRef Nxt = this->A.nextInst(I);
-    if (!DisableFusion && Nxt != tir::InvalidRef &&
-        this->analyzer().liveness(I).RefCount == 1) {
-      const tir::Value &NV = this->A.val(Nxt);
-      if (NV.Opcode == tir::Op::CondBr && fn().operand(NV, 0) == I) {
-        Fused[I] = 1;
-        return true;
-      }
-    }
-    x64::Cond CC = emitICmpFlags(V);
-    VPR Res = this->resultRef(I, 0);
-    core::Reg R = Res.allocReg();
-    E.setcc(CC, x64::ax(R));
-    Res.setModified();
-    return true;
   }
 
   bool compileFCmp(tir::ValRef I, const tir::Value &V) {
@@ -809,123 +544,111 @@ private:
 
   // --- Casts --------------------------------------------------------------------
 
-  bool compileCast(tir::ValRef I, const tir::Value &V) {
+  bool compileExt(tir::ValRef I, const tir::Value &V) {
     tir::ValRef SV = fn().operand(V, 0);
-    tir::Type SrcTy = this->A.val(SV).Ty;
-    u32 SrcW = tir::typeSize(SrcTy), DstW = tir::typeSize(V.Ty);
-    switch (V.Opcode) {
-    case tir::Op::Zext: {
-      if (V.Ty == tir::Type::I128) {
-        VPR Res0 = this->resultRefReuse(I, 0, this->valRef(SV, 0));
-        if (SrcW < 8)
-          E.movzxRR(static_cast<u8>(SrcW), x64::ax(Res0.curReg()),
-                    x64::ax(Res0.curReg()));
-        VPR Res1 = this->resultRef(I, 1);
-        core::Reg R1 = Res1.allocReg();
-        E.aluRR(x64::AluOp::Xor, 4, x64::ax(R1), x64::ax(R1));
-        Res0.setModified();
-        Res1.setModified();
-        return true;
-      }
-      VPR Res = this->resultRefReuse(I, 0, this->valRef(SV, 0));
-      E.movzxRR(static_cast<u8>(SrcW < 8 ? SrcW : 4), x64::ax(Res.curReg()),
-                x64::ax(Res.curReg()));
-      Res.setModified();
-      return true;
-    }
-    case tir::Op::Sext: {
-      if (V.Ty == tir::Type::I128) {
-        VPR Res0 = this->resultRefReuse(I, 0, this->valRef(SV, 0));
-        if (SrcW < 8)
-          E.movsxRR(static_cast<u8>(SrcW), x64::ax(Res0.curReg()),
-                    x64::ax(Res0.curReg()));
-        VPR Res1 = this->resultRef(I, 1);
-        core::Reg R1 = Res1.allocReg();
-        E.movRR(8, x64::ax(R1), x64::ax(Res0.curReg()));
-        E.shiftRI(x64::ShiftOp::Sar, 8, x64::ax(R1), 63);
-        Res0.setModified();
-        Res1.setModified();
-        return true;
-      }
-      VPR Res = this->resultRefReuse(I, 0, this->valRef(SV, 0));
-      E.movsxRR(static_cast<u8>(SrcW < 8 ? SrcW : 4), x64::ax(Res.curReg()),
-                x64::ax(Res.curReg()));
-      Res.setModified();
-      return true;
-    }
-    case tir::Op::Trunc: {
-      if (SrcTy == tir::Type::I128) {
-        VPR HiConsume = this->valRef(SV, 1);
-        VPR Res = this->resultRefReuse(I, 0, this->valRef(SV, 0));
-        if (V.Ty == tir::Type::I1)
-          E.aluRI(x64::AluOp::And, 4, x64::ax(Res.curReg()), 1);
-        Res.setModified();
-        return true;
-      }
-      VPR Res = this->resultRefReuse(I, 0, this->valRef(SV, 0));
-      if (V.Ty == tir::Type::I1)
-        E.aluRI(x64::AluOp::And, 4, x64::ax(Res.curReg()), 1);
-      Res.setModified();
-      return true;
-    }
-    case tir::Op::FpExt:
-    case tir::Op::FpTrunc: {
-      VPR Src = this->valRef(SV, 0);
-      core::Reg S = Src.asReg();
-      VPR Res = this->resultRef(I, 0);
-      core::Reg R = Res.allocReg();
-      E.cvtfp2fp(V.Opcode == tir::Op::FpExt ? 4 : 8, x64::ax(R), x64::ax(S));
-      Res.setModified();
-      return true;
-    }
-    case tir::Op::FpToSi: {
-      VPR Src = this->valRef(SV, 0);
-      core::Reg S = Src.asReg();
-      VPR Res = this->resultRef(I, 0);
-      core::Reg R = Res.allocReg();
-      E.cvtfp2si(SrcW == 4 ? 4 : 8, DstW == 8 ? 8 : 4, x64::ax(R),
-                 x64::ax(S));
-      Res.setModified();
-      return true;
-    }
-    case tir::Op::SiToFp: {
-      VPR Src = this->valRef(SV, 0);
-      core::Reg S = Src.asReg();
-      VPR Res = this->resultRef(I, 0);
-      core::Reg R = Res.allocReg();
-      u8 FpSz = V.Ty == tir::Type::F32 ? 4 : 8;
-      if (SrcW < 4) {
-        Scratch T(this);
-        core::Reg TR = T.alloc(0);
-        E.movsxRR(static_cast<u8>(SrcW), x64::ax(TR), x64::ax(S));
-        E.cvtsi2fp(8, FpSz, x64::ax(R), x64::ax(TR));
-      } else {
-        E.cvtsi2fp(static_cast<u8>(SrcW), FpSz, x64::ax(R), x64::ax(S));
-      }
-      Res.setModified();
-      return true;
-    }
-    case tir::Op::Bitcast: {
-      bool SrcFp = tir::isFloatType(SrcTy), DstFp = tir::isFloatType(V.Ty);
-      if (SrcFp == DstFp) {
-        VPR Res = this->resultRefReuse(I, 0, this->valRef(SV, 0));
-        Res.setModified();
-        return true;
-      }
-      VPR Src = this->valRef(SV, 0);
-      core::Reg S = Src.asReg();
-      VPR Res = this->resultRef(I, 0);
-      core::Reg R = Res.allocReg();
-      if (DstFp)
-        E.movdToFp(static_cast<u8>(DstW), x64::ax(R), x64::ax(S));
+    u32 SrcW = tir::typeSize(this->A.val(SV).Ty);
+    bool Signed = V.Opcode == tir::Op::Sext;
+    auto Extend = [&](u32 W, core::Reg R) {
+      if (Signed)
+        E.movsxRR(static_cast<u8>(W), x64::ax(R), x64::ax(R));
       else
-        E.movdFromFp(static_cast<u8>(DstW), x64::ax(R), x64::ax(S));
+        E.movzxRR(static_cast<u8>(W), x64::ax(R), x64::ax(R));
+    };
+    VPR Res0 = this->resultRefReuse(I, 0, this->valRef(SV, 0));
+    if (V.Ty != tir::Type::I128) {
+      Extend(SrcW < 8 ? SrcW : 4, Res0.curReg());
+      Res0.setModified();
+      return true;
+    }
+    if (SrcW < 8)
+      Extend(SrcW, Res0.curReg());
+    VPR Res1 = this->resultRef(I, 1);
+    core::Reg R1 = Res1.allocReg();
+    if (Signed) {
+      E.movRR(8, x64::ax(R1), x64::ax(Res0.curReg()));
+      E.shiftRI(x64::ShiftOp::Sar, 8, x64::ax(R1), 63);
+    } else {
+      E.aluRR(x64::AluOp::Xor, 4, x64::ax(R1), x64::ax(R1));
+    }
+    Res0.setModified();
+    Res1.setModified();
+    return true;
+  }
+
+  bool compileTrunc(tir::ValRef I, const tir::Value &V) {
+    tir::ValRef SV = fn().operand(V, 0);
+    VPR HiConsume;
+    if (this->A.val(SV).Ty == tir::Type::I128)
+      HiConsume = this->valRef(SV, 1);
+    VPR Res = this->resultRefReuse(I, 0, this->valRef(SV, 0));
+    if (V.Ty == tir::Type::I1)
+      E.aluRI(x64::AluOp::And, 4, x64::ax(Res.curReg()), 1);
+    Res.setModified();
+    return true;
+  }
+
+  bool compileFpConv(tir::ValRef I, const tir::Value &V) {
+    VPR Src = this->valRef(fn().operand(V, 0), 0);
+    core::Reg S = Src.asReg();
+    VPR Res = this->resultRef(I, 0);
+    core::Reg R = Res.allocReg();
+    E.cvtfp2fp(V.Opcode == tir::Op::FpExt ? 4 : 8, x64::ax(R), x64::ax(S));
+    Res.setModified();
+    return true;
+  }
+
+  bool compileFpToSi(tir::ValRef I, const tir::Value &V) {
+    tir::ValRef SV = fn().operand(V, 0);
+    u32 SrcW = tir::typeSize(this->A.val(SV).Ty), DstW = tir::typeSize(V.Ty);
+    VPR Src = this->valRef(SV, 0);
+    core::Reg S = Src.asReg();
+    VPR Res = this->resultRef(I, 0);
+    core::Reg R = Res.allocReg();
+    E.cvtfp2si(SrcW == 4 ? 4 : 8, DstW == 8 ? 8 : 4, x64::ax(R), x64::ax(S));
+    Res.setModified();
+    return true;
+  }
+
+  bool compileSiToFp(tir::ValRef I, const tir::Value &V) {
+    tir::ValRef SV = fn().operand(V, 0);
+    u32 SrcW = tir::typeSize(this->A.val(SV).Ty);
+    VPR Src = this->valRef(SV, 0);
+    core::Reg S = Src.asReg();
+    VPR Res = this->resultRef(I, 0);
+    core::Reg R = Res.allocReg();
+    u8 FpSz = V.Ty == tir::Type::F32 ? 4 : 8;
+    if (SrcW < 4) {
+      Scratch T(this);
+      core::Reg TR = T.alloc(0);
+      E.movsxRR(static_cast<u8>(SrcW), x64::ax(TR), x64::ax(S));
+      E.cvtsi2fp(8, FpSz, x64::ax(R), x64::ax(TR));
+    } else {
+      E.cvtsi2fp(static_cast<u8>(SrcW), FpSz, x64::ax(R), x64::ax(S));
+    }
+    Res.setModified();
+    return true;
+  }
+
+  bool compileBitcast(tir::ValRef I, const tir::Value &V) {
+    tir::ValRef SV = fn().operand(V, 0);
+    bool SrcFp = tir::isFloatType(this->A.val(SV).Ty);
+    bool DstFp = tir::isFloatType(V.Ty);
+    if (SrcFp == DstFp) {
+      VPR Res = this->resultRefReuse(I, 0, this->valRef(SV, 0));
       Res.setModified();
       return true;
     }
-    default:
-      return false;
-    }
+    VPR Src = this->valRef(SV, 0);
+    core::Reg S = Src.asReg();
+    VPR Res = this->resultRef(I, 0);
+    core::Reg R = Res.allocReg();
+    u8 DstW = static_cast<u8>(tir::typeSize(V.Ty));
+    if (DstFp)
+      E.movdToFp(DstW, x64::ax(R), x64::ax(S));
+    else
+      E.movdFromFp(DstW, x64::ax(R), x64::ax(S));
+    Res.setModified();
+    return true;
   }
 
   // --- Select ------------------------------------------------------------------
@@ -940,8 +663,6 @@ private:
     // Everything below must only emit flag-preserving moves plus the
     // cmov/branch itself.
     if (tir::isFloatType(V.Ty)) {
-      u8 Sz = V.Ty == tir::Type::F32 ? 4 : 8;
-      (void)Sz;
       VPR FRef = this->valRef(FV, 0);
       core::Reg FR = FRef.asReg();
       VPR Res = this->resultRefReuse(I, 0, this->valRef(TV, 0));
@@ -985,7 +706,7 @@ private:
   Addr computeAddr(tir::ValRef Ptr) {
     Addr Out;
     const tir::Value &PV = this->A.val(Ptr);
-    if (Fused[Ptr]) {
+    if (this->fused(Ptr)) {
       // Fused PtrAdd: fold base + index*scale + disp (§4.2).
       tir::ValRef BaseV = fn().operand(PV, 0);
       i32 Disp = static_cast<i32>(static_cast<i64>(PV.Aux2));
@@ -1016,38 +737,15 @@ private:
     return Out;
   }
 
-  /// Marks a PtrAdd as fused if its single use is the immediately
-  /// following load/store in the same block.
-  bool tryFusePtrAdd(tir::ValRef I, const tir::Value &V) {
-    if (DisableFusion || this->analyzer().liveness(I).RefCount != 1)
-      return false;
-    if (V.NumOps > 1) {
-      u64 S = V.Aux;
-      if (S != 1 && S != 2 && S != 4 && S != 8)
-        return false;
-    }
-    if (!isInt32(static_cast<i64>(V.Aux2)))
-      return false;
-    // The base must not itself be a fused PtrAdd.
-    tir::ValRef Nxt = this->A.nextInst(I);
-    if (Nxt == tir::InvalidRef)
-      return false;
-    const tir::Value &NV = this->A.val(Nxt);
-    if (NV.Opcode == tir::Op::Load && fn().operand(NV, 0) == I) {
-      Fused[I] = 1;
-      return true;
-    }
-    if (NV.Opcode == tir::Op::Store && fn().operand(NV, 1) == I &&
-        fn().operand(NV, 0) != I) {
-      Fused[I] = 1;
-      return true;
-    }
-    return false;
+  /// Any PtrAdd with a SIB scale and a 32-bit displacement fits a memory
+  /// operand.
+  bool ptrAddFoldable(const tir::Value &V, const tir::Value &) {
+    u64 S = V.Aux;
+    return (V.NumOps == 1 || S == 1 || S == 2 || S == 4 || S == 8) &&
+           isInt32(static_cast<i64>(V.Aux2));
   }
 
   bool compilePtrAdd(tir::ValRef I, const tir::Value &V) {
-    if (tryFusePtrAdd(I, V))
-      return true;
     tir::ValRef BaseV = fn().operand(V, 0);
     i64 Disp = static_cast<i64>(V.Aux2);
     if (V.NumOps == 1) {
@@ -1166,81 +864,19 @@ private:
     return true;
   }
 
-  // --- Control flow -----------------------------------------------------------------
-
-  bool compileCondBr(tir::ValRef I, const tir::Value &V) {
-    const tir::Block &B = fn().Blocks[V.Block];
-    tir::BlockRef TrueB = B.Succs[0], FalseB = B.Succs[1];
-    tir::ValRef CV = fn().operand(V, 0);
-    if (CV < Fused.size() && Fused[CV]) {
-      x64::Cond CC = emitICmpFlags(this->A.val(CV));
-      this->generateCondBranch(TrueB, FalseB,
-                               [&](asmx::Label L, bool Inv) {
-                                 E.jccLabel(Inv ? invert(CC) : CC, L);
-                               });
-      return true;
-    }
-    {
-      VPR Cond = this->valRef(CV, 0);
-      E.testRI(1, x64::ax(Cond.asReg()), 1);
-    }
-    this->generateCondBranch(TrueB, FalseB, [&](asmx::Label L, bool Inv) {
-      E.jccLabel(Inv ? x64::Cond::E : x64::Cond::NE, L);
-    });
-    return true;
-  }
-
-  // --- Constant pool --------------------------------------------------------
-
-  asmx::SymRef fpConstSym(u64 Bits, u8 Size) {
-    return fpPoolConstSym(this->Asm, FpPool, Bits, Size);
-  }
-
-  TirGlobalSyms GlobalSyms;
-  support::DenseMap<u64, asmx::SymRef> FpPool;
-  std::vector<u8> Fused;
 };
-
-} // namespace tpde::tpde_tir
-
-#include "tir/Verifier.h"
 
 /// Convenience entry point: compiles \p M into \p Asm with TPDE. With
 /// \p Verify the module is validated first (tir::verifyModule) so
 /// malformed IR never reaches the emitter; \p StatusOut (optional)
 /// receives the structured diagnostic on failure.
-namespace tpde::tpde_tir {
 inline bool compileModuleX64(tir::Module &M, asmx::Assembler &Asm,
                              bool Verify = false,
                              support::CompileStatus *StatusOut = nullptr) {
-  if (StatusOut)
-    StatusOut->clear();
-  if (Verify) {
-    std::string Errors;
-    if (!tir::verifyModule(M, Errors)) {
-      if (StatusOut) {
-        StatusOut->Err = support::CompileErr::VerifyFailed;
-        StatusOut->Message = std::move(Errors);
-      }
-      return false;
-    }
-  }
-  TirAdapter Adapter(M);
-  TirCompilerX64 Compiler(Adapter, Asm);
-  bool OK = false;
-  try {
-    OK = Compiler.compile();
-  } catch (...) { // arena growth (interned names) can throw bad_alloc
-    if (StatusOut) {
-      StatusOut->Err = support::CompileErr::OutOfMemory;
-      StatusOut->Message = "allocation failed during module compile";
-    }
-    return false;
-  }
-  if (!OK && StatusOut)
-    *StatusOut = Compiler.status();
-  return OK;
+  return core::compileModuleOnce<TirAdapter, TirCompilerX64>(
+      M, Asm, Verify, tir::verifyModule, StatusOut);
 }
+
 } // namespace tpde::tpde_tir
 
 #endif // TPDE_TPDE_TIR_TIRCOMPILERX64_H

@@ -13,6 +13,9 @@
 #ifndef TPDE_TPDE_TIR_TIRGLOBALS_H
 #define TPDE_TPDE_TIR_TIRGLOBALS_H
 
+// tpde-lint: target-neutral -- shared by every target back-end; target
+// headers and names stay out (enforced by scripts/tpde_lint.py).
+
 #include "asmx/Assembler.h"
 #include "support/DenseMap.h"
 #include "tir/TIR.h"

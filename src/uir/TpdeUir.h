@@ -334,33 +334,8 @@ private:
 inline bool compileTpdeUir(UModule &M, asmx::Assembler &Asm,
                            bool Verify = false,
                            support::CompileStatus *StatusOut = nullptr) {
-  if (StatusOut)
-    StatusOut->clear();
-  if (Verify) {
-    std::string Errors;
-    if (!verifyModule(M, Errors)) {
-      if (StatusOut) {
-        StatusOut->Err = support::CompileErr::VerifyFailed;
-        StatusOut->Message = std::move(Errors);
-      }
-      return false;
-    }
-  }
-  UirAdapter A(M);
-  UirCompilerX64 C(A, Asm);
-  bool OK = false;
-  try {
-    OK = C.compile();
-  } catch (...) { // arena growth (interned names) can throw bad_alloc
-    if (StatusOut) {
-      StatusOut->Err = support::CompileErr::OutOfMemory;
-      StatusOut->Message = "allocation failed during module compile";
-    }
-    return false;
-  }
-  if (!OK && StatusOut)
-    *StatusOut = C.status();
-  return OK;
+  return core::compileModuleOnce<UirAdapter, UirCompilerX64>(
+      M, Asm, Verify, uir::verifyModule, StatusOut);
 }
 
 bool translateToTir(const UModule &M, tir::Module &Out);
