@@ -151,6 +151,7 @@ struct Function {
   std::vector<Type> ParamTys;
 
   std::vector<Value> Values;
+  /// Operand slices of Values, appended in order; every entry names a value.
   std::vector<ValRef> OperandPool;
   std::vector<BlockRef> PhiBlockPool;
   std::vector<Block> Blocks;

@@ -3,6 +3,7 @@
 #include "tir/Verifier.h"
 
 #include <algorithm>
+#include <span>
 #include <string_view>
 #include <unordered_set>
 
@@ -37,19 +38,36 @@ std::vector<BlockRef> computeRPO(const Function &F) {
   return PostOrder;
 }
 
-} // namespace
+/// Predecessor lists of every block in one flat array: the predecessors of
+/// B are List[Start[B], Start[B + 1]), in block order (with repeats for
+/// multi-edges). Two allocations instead of one per block.
+struct PredLists {
+  std::vector<u32> Start;
+  std::vector<BlockRef> List;
 
-std::vector<BlockRef> tpde::tir::computeIDom(const Function &F) {
-  // Cooper-Harvey-Kennedy iterative dominator computation.
+  explicit PredLists(const Function &F) : Start(F.Blocks.size() + 1, 0) {
+    for (const Block &BB : F.Blocks)
+      for (BlockRef S : BB.Succs)
+        ++Start[S + 1];
+    for (size_t B = 1; B < Start.size(); ++B)
+      Start[B] += Start[B - 1];
+    List.resize(Start.back());
+    std::vector<u32> Fill(Start.begin(), Start.end() - 1);
+    for (u32 B = 0; B < F.Blocks.size(); ++B)
+      for (BlockRef S : F.Blocks[B].Succs)
+        List[Fill[S]++] = B;
+  }
+  std::span<const BlockRef> of(BlockRef B) const {
+    return {List.data() + Start[B], List.data() + Start[B + 1]};
+  }
+};
+
+/// Cooper-Harvey-Kennedy iterative dominator computation.
+std::vector<BlockRef> computeIDom(const Function &F, const PredLists &Preds) {
   std::vector<BlockRef> RPO = computeRPO(F);
   std::vector<u32> RpoNum(F.Blocks.size(), ~0u);
   for (u32 I = 0; I < RPO.size(); ++I)
     RpoNum[RPO[I]] = I;
-
-  std::vector<std::vector<BlockRef>> Preds(F.Blocks.size());
-  for (u32 B = 0; B < F.Blocks.size(); ++B)
-    for (BlockRef S : F.Blocks[B].Succs)
-      Preds[S].push_back(B);
 
   std::vector<BlockRef> IDom(F.Blocks.size(), InvalidRef);
   IDom[0] = 0;
@@ -69,7 +87,7 @@ std::vector<BlockRef> tpde::tir::computeIDom(const Function &F) {
       if (B == 0)
         continue;
       BlockRef NewIDom = InvalidRef;
-      for (BlockRef P : Preds[B]) {
+      for (BlockRef P : Preds.of(B)) {
         if (RpoNum[P] == ~0u || IDom[P] == InvalidRef)
           continue; // unreachable or not yet processed
         NewIDom = NewIDom == InvalidRef ? P : intersect(P, NewIDom);
@@ -81,6 +99,36 @@ std::vector<BlockRef> tpde::tir::computeIDom(const Function &F) {
     }
   }
   return IDom;
+}
+
+/// The i128 support subset (paper §5: uncommon operations excluded).
+bool i128Supported(Op O) {
+  switch (O) {
+  case Op::Add:
+  case Op::Sub:
+  case Op::Mul:
+  case Op::And:
+  case Op::Or:
+  case Op::Xor:
+  case Op::Shl:
+  case Op::LShr:
+  case Op::AShr:
+  case Op::Zext:
+  case Op::Trunc:
+  case Op::Select:
+  case Op::Load:
+  case Op::Phi:
+  case Op::Call:
+    return true;
+  default:
+    return false;
+  }
+}
+
+} // namespace
+
+std::vector<BlockRef> tpde::tir::computeIDom(const Function &F) {
+  return ::computeIDom(F, PredLists(F));
 }
 
 bool tpde::tir::verifyFunction(const Module &M, const Function &F,
@@ -100,6 +148,65 @@ bool tpde::tir::verifyFunction(const Module &M, const Function &F,
   const u32 NumVals = F.valueCount();
   const u32 NumBlocks = static_cast<u32>(F.Blocks.size());
 
+  // Bounds first: every value id, block id and pool slice that the checks
+  // below — and fingerprinting and codegen after them — index with must be
+  // in range, so a malformed function is rejected before any indexed
+  // read. Unlisted values are covered too: the fingerprint reads every
+  // value's operand slice. The per-value rules (i128 subset, call and
+  // global targets) share the pass, so Values is walked once.
+  for (u32 I = 0; I < NumVals; ++I) {
+    const Value &V = F.Values[I];
+    if (V.Kind == ValKind::GlobalAddr && V.Aux >= M.Globals.size())
+      fail("global address out of range");
+    if (V.Kind == ValKind::Inst) {
+      if (V.Ty == Type::I128 && !i128Supported(V.Opcode))
+        fail("unsupported i128 operation");
+      if (V.Opcode == Op::Call) {
+        if (V.Aux >= M.Funcs.size())
+          fail("call to out-of-range function");
+        else if (M.Funcs[V.Aux].ParamTys.size() != V.NumOps)
+          fail("call argument count mismatch to '" + M.Funcs[V.Aux].Name +
+               "'");
+      }
+    }
+    if (V.NumOps == 0)
+      continue;
+    const u64 End = static_cast<u64>(V.OpBegin) + V.NumOps;
+    const bool IsPhi = V.Opcode == Op::Phi;
+    if (End > F.OperandPool.size() ||
+        (IsPhi && End > F.PhiBlockPool.size())) {
+      fail("value v" + std::to_string(I) +
+           " has an operand range outside the operand pool");
+      continue;
+    }
+    if (IsPhi)
+      for (u32 O = 0; O < V.NumOps; ++O)
+        if (F.PhiBlockPool[V.OpBegin + O] >= NumBlocks)
+          fail("phi incoming block out of range");
+  }
+  // Every pool entry must name a value. The Builder only appends operand
+  // slices, so one scan of the pool checks every value's operands; a loop
+  // per value would mispredict its exit once per value.
+  if (std::any_of(F.OperandPool.begin(), F.OperandPool.end(),
+                  [&](ValRef Op) { return Op >= NumVals; }))
+    fail("operand index out of range");
+  for (u32 B = 0; B < NumBlocks; ++B) {
+    const Block &BB = F.Blocks[B];
+    for (ValRef V : BB.Phis)
+      if (V >= NumVals)
+        fail("phi list of block " + std::to_string(B) +
+             " names an out-of-range value");
+    for (ValRef V : BB.Insts)
+      if (V >= NumVals)
+        fail("instruction list of block " + std::to_string(B) +
+             " names an out-of-range value");
+    for (BlockRef S : BB.Succs)
+      if (S >= NumBlocks)
+        fail("successor out of range");
+  }
+  if (!OK)
+    return false;
+
   // Structural checks per block.
   for (u32 B = 0; B < NumBlocks; ++B) {
     const Block &BB = F.Blocks[B];
@@ -116,9 +223,6 @@ bool tpde::tir::verifyFunction(const Module &M, const Function &F,
       bool IsLast = I + 1 == BB.Insts.size();
       if (isTerminator(V.Opcode) != IsLast)
         fail("terminator placement wrong in block " + std::to_string(B));
-      for (u32 O = 0; O < V.NumOps; ++O)
-        if (F.operand(V, O) >= NumVals)
-          fail("operand index out of range");
     }
     const Value &Term = F.val(BB.Insts.back());
     u32 WantSuccs = Term.Opcode == Op::Br       ? 1
@@ -127,20 +231,19 @@ bool tpde::tir::verifyFunction(const Module &M, const Function &F,
     if (BB.Succs.size() != WantSuccs)
       fail("successor count does not match terminator in block " +
            std::to_string(B));
-    for (BlockRef S : BB.Succs)
-      if (S >= NumBlocks)
-        fail("successor out of range");
   }
   if (!OK)
     return false;
 
-  // Predecessors, for phi checks.
-  std::vector<std::vector<BlockRef>> Preds(NumBlocks);
-  for (u32 B = 0; B < NumBlocks; ++B)
-    for (BlockRef S : F.Blocks[B].Succs)
-      Preds[S].push_back(B);
+  const PredLists Preds(F);
 
+  std::vector<BlockRef> Incoming, Want;
   for (u32 B = 0; B < NumBlocks; ++B) {
+    if (F.Blocks[B].Phis.empty())
+      continue;
+    Want.assign(Preds.of(B).begin(), Preds.of(B).end());
+    std::sort(Want.begin(), Want.end());
+    Want.erase(std::unique(Want.begin(), Want.end()), Want.end());
     for (ValRef P : F.Blocks[B].Phis) {
       const Value &Phi = F.val(P);
       if (Phi.Opcode != Op::Phi) {
@@ -150,62 +253,19 @@ bool tpde::tir::verifyFunction(const Module &M, const Function &F,
       if (Phi.Block != B)
         fail("phi block back-reference mismatch");
       // Each predecessor must appear exactly once.
-      std::vector<BlockRef> Incoming;
+      Incoming.clear();
       for (u32 I = 0; I < Phi.NumOps; ++I)
         Incoming.push_back(F.phiBlock(Phi, I));
       std::sort(Incoming.begin(), Incoming.end());
-      std::vector<BlockRef> Want = Preds[B];
-      std::sort(Want.begin(), Want.end());
-      Want.erase(std::unique(Want.begin(), Want.end()), Want.end());
       if (Incoming != Want)
         fail("phi incoming blocks disagree with predecessors in block " +
              std::to_string(B));
     }
   }
 
-  // i128 support subset (paper §5: uncommon operations excluded).
-  for (const Value &V : F.Values) {
-    if (V.Kind != ValKind::Inst || V.Ty != Type::I128)
-      continue;
-    switch (V.Opcode) {
-    case Op::Add:
-    case Op::Sub:
-    case Op::Mul:
-    case Op::And:
-    case Op::Or:
-    case Op::Xor:
-    case Op::Shl:
-    case Op::LShr:
-    case Op::AShr:
-    case Op::Zext:
-    case Op::Trunc:
-    case Op::Select:
-    case Op::Load:
-    case Op::Phi:
-    case Op::Call:
-      break;
-    default:
-      fail("unsupported i128 operation");
-    }
-  }
-
-  // Call sanity.
-  for (const Value &V : F.Values) {
-    if (V.Kind == ValKind::Inst && V.Opcode == Op::Call) {
-      if (V.Aux >= M.Funcs.size()) {
-        fail("call to out-of-range function");
-        continue;
-      }
-      if (M.Funcs[V.Aux].ParamTys.size() != V.NumOps)
-        fail("call argument count mismatch to '" + M.Funcs[V.Aux].Name + "'");
-    }
-    if (V.Kind == ValKind::GlobalAddr && V.Aux >= M.Globals.size())
-      fail("global address out of range");
-  }
-
   // SSA dominance: the definition must dominate every use; for phis, the
   // definition must dominate the end of the incoming block.
-  std::vector<BlockRef> IDom = computeIDom(F);
+  std::vector<BlockRef> IDom = ::computeIDom(F, Preds);
   std::vector<u32> InstPos(NumVals, 0);
   for (u32 B = 0; B < NumBlocks; ++B)
     for (u32 I = 0; I < F.Blocks[B].Insts.size(); ++I)
@@ -242,6 +302,8 @@ bool tpde::tir::verifyFunction(const Module &M, const Function &F,
     }
     for (ValRef P : BB.Phis) {
       const Value &Phi = F.val(P);
+      if (Phi.Opcode != Op::Phi)
+        continue; // reported above; its PhiBlockPool slice is unchecked
       for (u32 I = 0; I < Phi.NumOps; ++I) {
         BlockRef In = F.phiBlock(Phi, I);
         if (!defDominatesUse(F.operand(Phi, I), In,

@@ -40,6 +40,9 @@ namespace tpde::tpde_tir {
 /// compilation), Block::Name and Function::ValueNames (debug printing
 /// only) — so a module fingerprints identically before and after being
 /// compiled, and renaming debug values does not fork cache entries.
+/// Reads every value's operand slice unchecked: the module must pass
+/// tir::verifyModule first (the service runs it at admission unless
+/// Options::Verify is off).
 support::Fp128 fingerprintModule(const tir::Module &M);
 
 /// Service traits: see service/CompileService.h for the contract.

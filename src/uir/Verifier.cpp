@@ -2,12 +2,25 @@
 
 #include "uir/Verifier.h"
 
-#include <unordered_set>
+#include "support/SmallVector.h"
+
+#include <algorithm>
+#include <numeric>
+#include <tuple>
 
 using namespace tpde;
 using namespace tpde::uir;
 
 namespace {
+
+/// Values whose listed-marks fit the verifier's inline buffer; larger
+/// functions spill it to the heap. Service-sized query functions have a
+/// few dozen values, so admitting one allocates nothing.
+constexpr unsigned InlineValues = 1024;
+
+/// Functions whose name-check indices fit the verifier's inline buffer;
+/// larger modules spill it to the heap.
+constexpr size_t InlineFuncs = 16;
 
 bool isTerminator(UOp Op) {
   return Op == UOp::Br || Op == UOp::CondBr || Op == UOp::Ret;
@@ -59,11 +72,11 @@ public:
     // to exactly one list, and carry a matching Block back-reference.
     // Terminators close every block and appear nowhere else; phis live
     // only in the phi lists.
-    std::vector<u8> Listed(NumVals, 0);
+    Listed.assign(NumVals, 0);
     for (u32 B = 0; B < NumBlocks; ++B) {
       const UBlock &Blk = F.Blocks[B];
       for (u32 V : Blk.Phis) {
-        if (!checkListed(Listed, V, B, "phi"))
+        if (!checkListed(V, B, "phi"))
           return false;
         if (F.Vals[V].Op != UOp::Phi)
           return error("non-phi value in phi list of block " +
@@ -73,7 +86,7 @@ public:
         return error("block " + std::to_string(B) + " has no terminator");
       for (u32 I = 0; I < Blk.Insts.size(); ++I) {
         u32 V = Blk.Insts[I];
-        if (!checkListed(Listed, V, B, "instruction"))
+        if (!checkListed(V, B, "instruction"))
           return false;
         const UInst &Inst = F.Vals[V];
         if (Inst.Op == UOp::Phi)
@@ -132,7 +145,7 @@ private:
     return false;
   }
 
-  bool checkListed(std::vector<u8> &Listed, u32 V, u32 B, const char *What) {
+  bool checkListed(u32 V, u32 B, const char *What) {
     const u32 NumVals = static_cast<u32>(F.Vals.size());
     if (V >= NumVals)
       return error("block " + std::to_string(B) +
@@ -193,7 +206,25 @@ private:
 
   const UFunc &F;
   std::string &Errors;
+  support::SmallVector<u8, InlineValues> Listed;
 };
+
+/// Sets Dup[I] when a function before I has the same name.
+void markDuplicateNames(const UModule &M,
+                        support::SmallVector<u8, InlineFuncs> &Dup) {
+  const size_t N = M.Funcs.size();
+  Dup.assign(N, 0);
+  // Sorted by (name, index): each run of equal names starts at its first
+  // function.
+  support::SmallVector<u32, InlineFuncs> Order;
+  Order.resize(N);
+  std::iota(Order.begin(), Order.end(), 0u);
+  std::sort(Order.begin(), Order.end(), [&](u32 A, u32 B) {
+    return std::tie(M.Funcs[A].Name, A) < std::tie(M.Funcs[B].Name, B);
+  });
+  for (size_t K = 1; K < N; ++K)
+    Dup[Order[K]] = M.Funcs[Order[K]].Name == M.Funcs[Order[K - 1]].Name;
+}
 
 } // namespace
 
@@ -202,10 +233,12 @@ bool tpde::uir::verifyFunction(const UFunc &F, std::string &Errors) {
 }
 
 bool tpde::uir::verifyModule(const UModule &M, std::string &Errors) {
+  support::SmallVector<u8, InlineFuncs> Dup;
+  markDuplicateNames(M, Dup);
   bool OK = true;
-  std::unordered_set<std::string_view> Names;
-  for (const UFunc &F : M.Funcs) {
-    if (!Names.insert(F.Name).second) {
+  for (size_t I = 0; I < M.Funcs.size(); ++I) {
+    const UFunc &F = M.Funcs[I];
+    if (Dup[I]) {
       Errors += "duplicate function name '" + F.Name + "'\n";
       OK = false;
     }

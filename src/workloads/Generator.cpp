@@ -457,6 +457,11 @@ const char *tpde::workloads::malformKindName(MalformKind K) {
   case MalformKind::NonDominatingUse: return "non_dominating_use";
   case MalformKind::BadTerminator: return "bad_terminator";
   case MalformKind::DuplicateName: return "duplicate_name";
+  case MalformKind::ListIdOutOfRange: return "list_id_out_of_range";
+  case MalformKind::OperandsOutsidePool: return "operands_outside_pool";
+  case MalformKind::PhiOperandDangling: return "phi_operand_dangling";
+  case MalformKind::UnlistedOutsidePool: return "unlisted_outside_pool";
+  case MalformKind::NonPhiInPhiList: return "non_phi_in_phi_list";
   }
   return "unknown";
 }
@@ -534,6 +539,59 @@ u32 tpde::workloads::genMalformed(Module &M, MalformKind K) {
       Idx = B.funcIndex();
     }
     return Idx;
+  }
+  case MalformKind::ListIdOutOfRange:
+  case MalformKind::OperandsOutsidePool:
+  case MalformKind::UnlistedOutsidePool:
+  case MalformKind::NonPhiInPhiList: {
+    // x = add(a0, a1); ret x — then break one index the verifier must
+    // range-check before it reads through it.
+    FunctionBuilder B(M, Name, Type::I64, {Type::I64, Type::I64});
+    B.setInsertPoint(B.addBlock("entry"));
+    ValRef X = B.binop(Op::Add, B.arg(0), B.arg(1));
+    B.ret(X);
+    B.finish();
+    Function &F = B.func();
+    const u32 PastPool = static_cast<u32>(F.OperandPool.size()) + 1000;
+    if (K == MalformKind::ListIdOutOfRange) {
+      F.Blocks[0].Insts.insert(F.Blocks[0].Insts.begin(),
+                               F.valueCount() + 3);
+    } else if (K == MalformKind::OperandsOutsidePool) {
+      F.val(X).OpBegin = PastPool;
+    } else if (K == MalformKind::UnlistedOutsidePool) {
+      // A second add in no block list: nothing reads it but the
+      // fingerprint, which hashes every value's operand slice.
+      Value Dead = F.val(X);
+      Dead.OpBegin = PastPool;
+      F.Values.push_back(Dead);
+    } else {
+      // The add also sits in the phi list; it has no PhiBlockPool slice.
+      F.Blocks[0].Phis.push_back(X);
+    }
+    return B.funcIndex();
+  }
+  case MalformKind::PhiOperandDangling: {
+    // Well-formed diamond whose join phi then names a value past the
+    // table.
+    FunctionBuilder B(M, Name, Type::I64, {Type::I64, Type::I64});
+    BlockRef E = B.addBlock("entry"), B1 = B.addBlock("then"),
+             B2 = B.addBlock("else"), B3 = B.addBlock("join");
+    B.setInsertPoint(E);
+    B.condBr(B.icmp(ICmp::Slt, B.arg(0), B.arg(1)), B1, B2);
+    B.setInsertPoint(B1);
+    ValRef X = B.binop(Op::Add, B.arg(0), B.arg(1));
+    B.br(B3);
+    B.setInsertPoint(B2);
+    B.br(B3);
+    B.setInsertPoint(B3);
+    ValRef P = B.phi(Type::I64);
+    B.addPhiIncoming(P, B1, X);
+    B.addPhiIncoming(P, B2, B.arg(0));
+    B.ret(P);
+    B.finish();
+    Function &F = B.func();
+    F.OperandPool[F.val(P).OpBegin + 1] = F.valueCount() + 7;
+    return B.funcIndex();
   }
   }
   TPDE_UNREACHABLE("bad MalformKind");

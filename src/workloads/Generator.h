@@ -97,13 +97,18 @@ void genQueryModule(uir::UModule &M, const QueryProfile &P);
 /// testing that the verifier pre-pass rejects it before codegen
 /// (docs/ROBUSTNESS.md).
 enum class MalformKind : u8 {
-  DanglingOperand,  ///< Operand index past the value table.
-  PhiPredMismatch,  ///< Phi incomings disagree with the block's preds.
-  NonDominatingUse, ///< A use the definition does not dominate.
-  BadTerminator,    ///< Instruction after the block terminator.
-  DuplicateName,    ///< Two strong definitions of the same name.
+  DanglingOperand,     ///< Operand index past the value table.
+  PhiPredMismatch,     ///< Phi incomings disagree with the block's preds.
+  NonDominatingUse,    ///< A use the definition does not dominate.
+  BadTerminator,       ///< Instruction after the block terminator.
+  DuplicateName,       ///< Two strong definitions of the same name.
+  ListIdOutOfRange,    ///< Instruction-list id past the value table.
+  OperandsOutsidePool, ///< Operand slice past the operand pool.
+  PhiOperandDangling,  ///< Phi operand past the value table.
+  UnlistedOutsidePool, ///< Unlisted value whose operand slice is past the pool.
+  NonPhiInPhiList,     ///< Non-phi (no phi-block slice) in a phi list.
 };
-inline constexpr u32 NumMalformKinds = 5;
+inline constexpr u32 NumMalformKinds = 10;
 const char *malformKindName(MalformKind K);
 
 /// Appends function(s) exhibiting exactly the defect \p K to \p M (any

@@ -371,8 +371,12 @@ TEST(UirVerifier, MutationsAreCaughtBeforeCodegen) {
     M.Funcs[0].Blocks[0].Succs.clear(); // entry ends in Br with no target
     expectUirRejected(M, "bad terminator successors");
   }
-  { // Duplicate strong query names.
-    uir::UModule M = makeQueryModule(3, 4);
+  // Duplicate strong query names, in modules that fit the verifier's
+  // inline name-check buffer and in ones that spill it.
+  for (u32 NumQueries : {4u, 40u}) {
+    uir::UModule M = makeQueryModule(3, NumQueries);
+    std::string Errors;
+    EXPECT_TRUE(uir::verifyModule(M, Errors)) << Errors;
     uir::QueryPlan P;
     P.Name = M.Funcs[1].Name; // collides
     P.Preds = {{0, uir::UOp::CmpLt, 7}};

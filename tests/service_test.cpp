@@ -7,8 +7,12 @@
 ///    batched service compile itself matches a solo compile byte for
 ///    byte (the job-aligned sharding contract of
 ///    core::ParallelModuleCompiler::compileJobs).
-///  * Fingerprints: sensitive to every content field, insensitive to the
-///    adapter scratch slots compilation mutates and to debug names.
+///  * Fingerprints: sensitive to every content field (every single-bit
+///    flip of a covered field changes the digest), insensitive to the
+///    adapter scratch slots compilation mutates and to debug names;
+///    length-tagged runs do not collide by concatenation; no collisions
+///    over 10k generated query modules and the spec-like functions.
+///  * Admission cost: a warm UIR cache hit allocates only its result.
 ///  * Single-flight: concurrent producers of one fingerprint trigger
 ///    exactly one compile; everyone shares the published code.
 ///  * Eviction: the byte budget is enforced by epoch-LRU eviction, and
@@ -30,6 +34,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "service/Admission.h"
+#include "support/AllocCounter.h"
 #include "support/FaultInjector.h"
 #include "support/Histogram.h"
 #include "tpde_tir/Service.h"
@@ -40,8 +45,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <thread>
+#include <unordered_map>
 #include <vector>
+
+TPDE_INSTALL_ALLOC_COUNTER
 
 using namespace tpde;
 using support::CompileErr;
@@ -193,6 +202,253 @@ TEST(Fingerprint, TirInsensitiveToDebugNamesAndScratch) {
   EXPECT_NE(tpde_tir::fingerprintModule(C), Before);
 }
 
+namespace {
+
+/// Flips each bit of the \p Bytes-byte field at \p Field, one at a time,
+/// and expects every flip to change \p Fp() from \p Base. Restores the
+/// field afterwards.
+template <class FpFn>
+void expectEveryBitFlipChanges(void *Field, size_t Bytes, const Fp128 &Base,
+                               FpFn &&Fp, const char *What) {
+  SCOPED_TRACE(What);
+  u8 *P = static_cast<u8 *>(Field);
+  for (size_t Bit = 0; Bit < Bytes * 8; ++Bit) {
+    P[Bit / 8] ^= static_cast<u8>(1u << (Bit % 8));
+    EXPECT_NE(Fp(), Base) << "bit " << Bit;
+    P[Bit / 8] ^= static_cast<u8>(1u << (Bit % 8));
+  }
+  EXPECT_EQ(Fp(), Base);
+}
+
+#define EXPECT_FLIPS_CHANGE(FIELD, BASE, FP)                                   \
+  expectEveryBitFlipChanges(&(FIELD), sizeof(FIELD), BASE, FP, #FIELD)
+
+bool sameUirContent(const uir::UFunc &A, const uir::UFunc &B) {
+  if (A.NumArgs != B.NumArgs || A.Vals.size() != B.Vals.size() ||
+      A.Blocks.size() != B.Blocks.size())
+    return false;
+  for (size_t I = 0; I < A.Vals.size(); ++I) {
+    const uir::UInst &X = A.Vals[I], &Y = B.Vals[I];
+    if (X.Op != Y.Op || X.Ty != Y.Ty || X.Aux != Y.Aux || X.Block != Y.Block ||
+        std::memcmp(X.Ops, Y.Ops, sizeof(X.Ops)) != 0 ||
+        std::memcmp(X.InBlock, Y.InBlock, sizeof(X.InBlock)) != 0 ||
+        std::memcmp(X.InVal, Y.InVal, sizeof(X.InVal)) != 0)
+      return false;
+  }
+  for (size_t I = 0; I < A.Blocks.size(); ++I)
+    if (A.Blocks[I].Phis != B.Blocks[I].Phis ||
+        A.Blocks[I].Insts != B.Blocks[I].Insts ||
+        A.Blocks[I].Succs != B.Blocks[I].Succs)
+      return false;
+  return true;
+}
+
+bool sameTirContent(const tir::Function &A, const tir::Function &B) {
+  if (A.Link != B.Link || A.IsDeclaration != B.IsDeclaration ||
+      A.RetTy != B.RetTy || A.ParamTys != B.ParamTys || A.Args != B.Args ||
+      A.StackVars != B.StackVars || A.Values.size() != B.Values.size() ||
+      A.Blocks.size() != B.Blocks.size())
+    return false;
+  for (size_t I = 0; I < A.Values.size(); ++I) {
+    const tir::Value &X = A.Values[I], &Y = B.Values[I];
+    if (X.Kind != Y.Kind || X.Opcode != Y.Opcode || X.Ty != Y.Ty ||
+        X.NumOps != Y.NumOps || X.Block != Y.Block || X.Aux != Y.Aux ||
+        X.Aux2 != Y.Aux2)
+      return false;
+    for (u32 O = 0; O < X.NumOps; ++O) {
+      if (A.operand(X, O) != B.operand(Y, O))
+        return false;
+      if (X.Opcode == tir::Op::Phi && A.phiBlock(X, O) != B.phiBlock(Y, O))
+        return false;
+    }
+  }
+  for (size_t I = 0; I < A.Blocks.size(); ++I)
+    if (A.Blocks[I].Phis != B.Blocks[I].Phis ||
+        A.Blocks[I].Insts != B.Blocks[I].Insts ||
+        A.Blocks[I].Succs != B.Blocks[I].Succs)
+      return false;
+  return true;
+}
+
+/// Fingerprints \p N items; two items may share a fingerprint only when
+/// \p Same says their content is equal.
+template <class FpFn, class SameFn>
+void expectNoCollisions(size_t N, FpFn &&Fp, SameFn &&Same) {
+  std::unordered_map<Fp128, size_t, support::Fp128Hash> Seen;
+  size_t Equal = 0;
+  for (size_t I = 0; I < N; ++I) {
+    auto [It, New] = Seen.emplace(Fp(I), I);
+    if (New)
+      continue;
+    ++Equal;
+    EXPECT_TRUE(Same(It->second, I))
+        << "items " << It->second << " and " << I
+        << " differ in content but share a fingerprint";
+  }
+  EXPECT_LT(Equal, N / 10) << "too many duplicates for a meaningful corpus";
+}
+
+} // namespace
+
+TEST(Fingerprint, UirEveryCoveredBitMatters) {
+  uir::UModule M = makeQueryModule("bits_q", 5);
+  auto Fp = [&] { return uir::fingerprintModule(M); };
+  const Fp128 Base = Fp();
+  uir::UFunc &F = M.Funcs[0];
+  ASSERT_FALSE(F.Blocks[1].Phis.empty()) << "query loop has no phis";
+  for (u32 V : {F.Blocks[1].Phis[0], F.Blocks[1].Insts[0]}) {
+    uir::UInst &I = F.Vals[V];
+    EXPECT_FLIPS_CHANGE(I.Op, Base, Fp);
+    EXPECT_FLIPS_CHANGE(I.Ty, Base, Fp);
+    EXPECT_FLIPS_CHANGE(I.Ops, Base, Fp);
+    EXPECT_FLIPS_CHANGE(I.Aux, Base, Fp);
+    EXPECT_FLIPS_CHANGE(I.Block, Base, Fp);
+    EXPECT_FLIPS_CHANGE(I.InBlock, Base, Fp);
+    EXPECT_FLIPS_CHANGE(I.InVal, Base, Fp);
+  }
+  uir::UBlock &B = F.Blocks[1];
+  EXPECT_FLIPS_CHANGE(B.Phis[0], Base, Fp);
+  EXPECT_FLIPS_CHANGE(B.Insts.back(), Base, Fp);
+  EXPECT_FLIPS_CHANGE(B.Succs[0], Base, Fp);
+  EXPECT_FLIPS_CHANGE(F.NumArgs, Base, Fp);
+  for (char &C : F.Name)
+    EXPECT_FLIPS_CHANGE(C, Base, Fp);
+}
+
+TEST(Fingerprint, TirEveryCoveredBitMatters) {
+  tir::Module M = makeTirJob(7, 8, "bits");
+  auto Fp = [&] { return tpde_tir::fingerprintModule(M); };
+  const Fp128 Base = Fp();
+  // A phi exercises every Value field plus both pool slices. Flipping its
+  // Opcode only stops the PhiBlockPool read; flips of NumOps that would
+  // run past either pool are skipped (verified modules never have them).
+  tir::Function *PF = nullptr;
+  tir::ValRef P = tir::InvalidRef;
+  for (tir::Function &F : M.Funcs)
+    for (tir::Block &B : F.Blocks)
+      if (!PF && !B.Phis.empty()) {
+        PF = &F;
+        P = B.Phis[0];
+      }
+  ASSERT_NE(PF, nullptr) << "no phi in the generated module";
+  tir::Function &F = *PF;
+  tir::Value &V = F.val(P);
+  EXPECT_FLIPS_CHANGE(V.Kind, Base, Fp);
+  EXPECT_FLIPS_CHANGE(V.Opcode, Base, Fp);
+  EXPECT_FLIPS_CHANGE(V.Ty, Base, Fp);
+  EXPECT_FLIPS_CHANGE(V.Block, Base, Fp);
+  EXPECT_FLIPS_CHANGE(V.Aux, Base, Fp);
+  EXPECT_FLIPS_CHANGE(V.Aux2, Base, Fp);
+  const size_t Room =
+      std::min(F.OperandPool.size(), F.PhiBlockPool.size()) - V.OpBegin;
+  for (u32 Bit = 0; Bit < 32; ++Bit) {
+    const u32 Saved = V.NumOps;
+    V.NumOps ^= 1u << Bit;
+    if (V.NumOps <= Room) {
+      EXPECT_NE(Fp(), Base) << "NumOps bit " << Bit;
+    }
+    V.NumOps = Saved;
+  }
+  for (u32 O = 0; O < V.NumOps; ++O) {
+    EXPECT_FLIPS_CHANGE(F.OperandPool[V.OpBegin + O], Base, Fp);
+    EXPECT_FLIPS_CHANGE(F.PhiBlockPool[V.OpBegin + O], Base, Fp);
+  }
+  tir::Block &B = F.Blocks[F.val(P).Block];
+  EXPECT_FLIPS_CHANGE(B.Phis[0], Base, Fp);
+  EXPECT_FLIPS_CHANGE(B.Insts[0], Base, Fp);
+  EXPECT_FLIPS_CHANGE(F.Blocks[0].Succs[0], Base, Fp);
+  if (!F.Args.empty()) {
+    EXPECT_FLIPS_CHANGE(F.Args[0], Base, Fp);
+    EXPECT_FLIPS_CHANGE(F.ParamTys[0], Base, Fp);
+  }
+  EXPECT_FLIPS_CHANGE(F.RetTy, Base, Fp);
+  EXPECT_FLIPS_CHANGE(F.Link, Base, Fp);
+  for (char &C : F.Name)
+    EXPECT_FLIPS_CHANGE(C, Base, Fp);
+  ASSERT_FALSE(M.Globals.empty());
+  tir::Global &G = M.Globals[0];
+  EXPECT_FLIPS_CHANGE(G.Size, Base, Fp);
+  EXPECT_FLIPS_CHANGE(G.Align, Base, Fp);
+  if (!G.Init.empty())
+    EXPECT_FLIPS_CHANGE(G.Init[0], Base, Fp);
+  for (char &C : G.Name)
+    EXPECT_FLIPS_CHANGE(C, Base, Fp);
+}
+
+TEST(Fingerprint, LengthTaggedRunsDoNotCollideByConcatenation) {
+  auto Of = [](auto &&Feed) {
+    support::Hasher128 H;
+    Feed(H);
+    return H.digest();
+  };
+  EXPECT_NE(Of([](auto &H) { H.str("ab");
+      H.str("c"); }),
+            Of([](auto &H) { H.str("a");
+      H.str("bc"); }));
+  const u32 Ids[] = {1, 2, 3};
+  EXPECT_NE(Of([&](auto &H) { H.u32s({Ids, 2});
+      H.u32s({Ids + 2, 1}); }),
+            Of([&](auto &H) { H.u32s({Ids, 1});
+      H.u32s({Ids + 1, 2}); }));
+  // Untagged byte runs still differ: the tail word carries its length.
+  EXPECT_NE(Of([](auto &H) { H.bytes("ab", 2);
+      H.bytes("\0", 1); }),
+            Of([](auto &H) { H.bytes("a", 1);
+      H.bytes("b\0", 2); }));
+
+  // The same shift at module level: names, and ids moved across the
+  // boundary between two block lists.
+  uir::UModule A = makeQueryModule("qa", 1), B = makeQueryModule("q", 1);
+  A.Funcs.push_back(makeQueryModule("b", 1).Funcs[0]);
+  B.Funcs.push_back(makeQueryModule("ab", 1).Funcs[0]);
+  EXPECT_NE(uir::fingerprintModule(A), uir::fingerprintModule(B));
+  uir::UModule C = makeQueryModule("q", 1);
+  uir::UBlock &B0 = C.Funcs[0].Blocks[0], &B1 = C.Funcs[0].Blocks[1];
+  const Fp128 Before = uir::fingerprintModule(C);
+  B1.Phis.insert(B1.Phis.begin(), B0.Succs.back());
+  B0.Succs.pop_back();
+  EXPECT_NE(uir::fingerprintModule(C), Before);
+}
+
+TEST(Fingerprint, NoCollisionsOverGeneratedQueryModules) {
+  workloads::QueryProfile QP;
+  QP.Seed = 17;
+  QP.NumQueries = 10'000;
+  std::vector<uir::QueryPlan> Plans = workloads::genQueryPlans(QP);
+  std::vector<uir::UModule> Mods(Plans.size());
+  for (size_t I = 0; I < Plans.size(); ++I) {
+    Plans[I].Name = "q"; // content alone must tell the modules apart
+    uir::compilePlan(Mods[I], Plans[I]);
+  }
+  expectNoCollisions(
+      Mods.size(), [&](size_t I) { return uir::fingerprintModule(Mods[I]); },
+      [&](size_t I, size_t J) {
+        return sameUirContent(Mods[I].Funcs[0], Mods[J].Funcs[0]);
+      });
+}
+
+TEST(Fingerprint, NoCollisionsOverSpecLikeFunctions) {
+  std::vector<tir::Module> Funcs;
+  for (bool O0 : {true, false}) {
+    for (auto &NP : workloads::specLikeProfiles(O0)) {
+      tir::Module M;
+      workloads::genModule(M, NP.P);
+      for (tir::Function &F : M.Funcs) {
+        tir::Module &One = Funcs.emplace_back();
+        One.Funcs.push_back(std::move(F));
+        One.Funcs[0].Name = "f"; // content alone must tell them apart
+      }
+    }
+  }
+  ASSERT_GT(Funcs.size(), 500u);
+  expectNoCollisions(
+      Funcs.size(),
+      [&](size_t I) { return tpde_tir::fingerprintModule(Funcs[I]); },
+      [&](size_t I, size_t J) {
+        return sameTirContent(Funcs[I].Funcs[0], Funcs[J].Funcs[0]);
+      });
+}
+
 // --- cache correctness -----------------------------------------------------
 
 TEST(ServiceCache, UirHitIsByteIdenticalToFreshCompile) {
@@ -226,6 +482,25 @@ TEST(ServiceCache, UirHitIsByteIdenticalToFreshCompile) {
   EXPECT_EQ(S.Misses, 1u);
   EXPECT_EQ(S.CachedEntries, 1u);
   EXPECT_GT(S.CachedBytes, 0u);
+}
+
+/// A warm hit runs the whole admission path — verify, fingerprint, cache
+/// claim — and allocates nothing but the result handle it returns.
+TEST(ServiceCache, WarmUirHitAllocatesOnlyItsResult) {
+  uir::UirCompileService Svc({.NumWorkers = 1});
+  auto Miss = Svc.submit(makeQueryModule("alloc_q", 4));
+  Miss->wait();
+  ASSERT_TRUE(Miss->ok()) << Miss->status().Message;
+  auto Warm = Svc.submit(makeQueryModule("alloc_q", 4));
+  ASSERT_TRUE(Warm->hit());
+
+  uir::UModule M = makeQueryModule("alloc_q", 4);
+  support::AllocWatch W;
+  auto Hit = Svc.submit(std::move(M));
+  const u64 Allocs = W.newCalls();
+  ASSERT_TRUE(Hit->ok());
+  EXPECT_TRUE(Hit->hit());
+  EXPECT_EQ(Allocs, 1u) << W.newBytes() << " bytes";
 }
 
 TEST(ServiceCache, TirX64HitIsByteIdenticalToFreshCompile) {
